@@ -18,7 +18,7 @@
 #include <iomanip>
 #include <iostream>
 
-#include "fsmgen/designer.hh"
+#include "flow/api.hh"
 #include "vpred/conf_sim.hh"
 #include "workloads/value_workloads.hh"
 
@@ -62,58 +62,70 @@ main(int argc, char **argv)
     std::cout << "Extension: confidence utility under squash vs "
                  "re-execution recovery (Section 6.2)\n\n";
 
+    std::vector<SudConfig> configs;
+    for (int max : {5, 10, 20, 40}) {
+        for (int dec : {1, 2, 5, 10, max + 1}) {
+            for (double frac : {0.5, 0.8, 0.9}) {
+                configs.push_back(
+                    {max, 1, dec,
+                     std::max(1, static_cast<int>(frac * max + 0.5))});
+            }
+        }
+    }
+    const std::vector<double> thresholds = {0.5, 0.6, 0.7, 0.8,
+                                            0.9, 0.95, 0.98};
+
     for (const std::string &name : valueBenchmarkNames()) {
-        const ValueTrace own = makeValueTrace(name, loads);
+        const CorrectnessStream own =
+            buildCorrectnessStream(makeValueTrace(name, loads), stride);
 
         // Cross-trained model, history 8.
         MarkovModel model(8);
         for (const std::string &other : valueBenchmarkNames()) {
             if (other == name)
                 continue;
-            const ValueTrace trace = makeValueTrace(other, loads);
-            collectConfidenceModels(trace, stride, {&model});
+            collectConfidenceModels(
+                buildCorrectnessStream(makeValueTrace(other, loads), stride),
+                {&model});
         }
+
+        // Simulate every estimator once; policies only rescore them.
+        const std::vector<ConfidenceResult> sud =
+            replaySudConfidence(own, configs);
+        std::vector<FlowResult> designs;
+        designs.reserve(thresholds.size());
+        std::vector<FsmEstimator> estimators;
+        for (double threshold : thresholds) {
+            DesignRequest request;
+            request.model = model;
+            request.options.order = 8;
+            request.options.patterns.threshold = threshold;
+            designs.push_back(runDesignRequest(request));
+            estimators.push_back({&designs.back().design.fsm});
+        }
+        const std::vector<ConfidenceResult> fsm =
+            replayFsmConfidence(own, estimators);
 
         for (const Policy &policy : policies) {
             // Best SUD configuration for this policy.
             double best_sud = -1e18;
             std::string best_sud_name;
-            for (int max : {5, 10, 20, 40}) {
-                for (int dec : {1, 2, 5, 10, max + 1}) {
-                    for (double frac : {0.5, 0.8, 0.9}) {
-                        SudConfig config{max, 1, dec,
-                                         std::max(1, static_cast<int>(
-                                             frac * max + 0.5))};
-                        SudConfidence estimator(
-                            static_cast<size_t>(stride.entries), config);
-                        const ConfidenceResult r = simulateConfidence(
-                            own, stride, estimator);
-                        const double u = utility(r, policy);
-                        if (u > best_sud) {
-                            best_sud = u;
-                            best_sud_name = estimator.name();
-                        }
-                    }
+            for (size_t i = 0; i < configs.size(); ++i) {
+                const double u = utility(sud[i], policy);
+                if (u > best_sud) {
+                    best_sud = u;
+                    best_sud_name = SudConfidence::label(configs[i]);
                 }
             }
 
             // Best FSM threshold for this policy.
             double best_fsm = -1e18;
             double best_fsm_thr = 0.0;
-            for (double threshold :
-                 {0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98}) {
-                FsmDesignOptions design;
-                design.order = 8;
-                design.patterns.threshold = threshold;
-                const FsmDesignResult designed = designFsm(model, design);
-                FsmConfidence estimator(
-                    static_cast<size_t>(stride.entries), designed.fsm);
-                const ConfidenceResult r =
-                    simulateConfidence(own, stride, estimator);
-                const double u = utility(r, policy);
+            for (size_t i = 0; i < thresholds.size(); ++i) {
+                const double u = utility(fsm[i], policy);
                 if (u > best_fsm) {
                     best_fsm = u;
-                    best_fsm_thr = threshold;
+                    best_fsm_thr = thresholds[i];
                 }
             }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "fsmgen/designer.hh"
+#include "flow/api.hh"
 #include "workloads/value_workloads.hh"
 
 namespace autofsm
@@ -21,6 +21,12 @@ formatPct(double frac)
     return out.str();
 }
 
+std::string
+curveLabel(int history)
+{
+    return "custom w/ hist=" + std::to_string(history);
+}
+
 } // anonymous namespace
 
 Fig2Benchmark
@@ -29,10 +35,14 @@ runFigure2(const std::string &benchmark, const Fig2Options &options)
     Fig2Benchmark result;
     result.name = benchmark;
 
-    const ValueTrace own =
-        makeValueTrace(benchmark, options.loadsPerBenchmark);
+    // The predictor never sees the estimator: run it once per trace and
+    // replay every estimator over the recorded correctness stream.
+    const CorrectnessStream own = buildCorrectnessStream(
+        makeValueTrace(benchmark, options.loadsPerBenchmark),
+        options.stride);
 
     // --- SUD counter scatter -------------------------------------------
+    std::vector<SudConfig> configs;
     for (int max : options.sudMax) {
         for (int dec : options.sudDecrement) {
             for (double frac : options.sudThresholdFrac) {
@@ -42,14 +52,15 @@ runFigure2(const std::string &benchmark, const Fig2Options &options)
                 config.decrement = dec < 0 ? max + 1 : dec;
                 config.threshold =
                     std::max(1, static_cast<int>(frac * max + 0.5));
-                SudConfidence estimator(
-                    static_cast<size_t>(options.stride.entries), config);
-                const ConfidenceResult r =
-                    simulateConfidence(own, options.stride, estimator);
-                result.sudPoints.push_back(
-                    {r.accuracy(), r.coverage(), estimator.name()});
+                configs.push_back(config);
             }
         }
+    }
+    const std::vector<ConfidenceResult> sud =
+        replaySudConfidence(own, configs);
+    for (size_t i = 0; i < configs.size(); ++i) {
+        result.sudPoints.push_back({sud[i].accuracy(), sud[i].coverage(),
+                                    SudConfidence::label(configs[i])});
     }
 
     // --- Cross-trained FSM curves --------------------------------------
@@ -59,34 +70,47 @@ runFigure2(const std::string &benchmark, const Fig2Options &options)
     models.reserve(options.histories.size());
     for (int order : options.histories)
         models.emplace_back(order);
+    std::vector<MarkovModel *> pointers;
+    for (auto &model : models)
+        pointers.push_back(&model);
 
     for (const std::string &other : valueBenchmarkNames()) {
         if (other == benchmark)
             continue;
-        const ValueTrace trace =
-            makeValueTrace(other, options.loadsPerBenchmark);
-        std::vector<MarkovModel *> pointers;
-        for (auto &model : models)
-            pointers.push_back(&model);
-        collectConfidenceModels(trace, options.stride, pointers);
+        collectConfidenceModels(
+            buildCorrectnessStream(
+                makeValueTrace(other, options.loadsPerBenchmark),
+                options.stride),
+            pointers);
     }
 
+    // Design every machine first, then replay them all over one stream.
+    std::vector<FlowResult> designs;
+    designs.reserve(models.size() * options.thresholds.size());
+    std::vector<FsmEstimator> estimators;
     for (size_t i = 0; i < models.size(); ++i) {
-        ParetoSeries series;
-        series.label =
-            "custom w/ hist=" + std::to_string(options.histories[i]);
         for (double threshold : options.thresholds) {
-            FsmDesignOptions design;
-            design.order = options.histories[i];
-            design.patterns.threshold = threshold;
-            design.patterns.dontCareMass = 0.01;
-            const FsmDesignResult designed = designFsm(models[i], design);
+            DesignRequest request;
+            request.model = models[i];
+            request.options.order = options.histories[i];
+            request.options.patterns.threshold = threshold;
+            request.options.patterns.dontCareMass = 0.01;
+            designs.push_back(runDesignRequest(request));
+            estimators.push_back(
+                {&designs.back().design.fsm,
+                 curveLabel(options.histories[i]) + " thr=" +
+                     formatPct(threshold)});
+        }
+    }
+    const std::vector<ConfidenceResult> fsm =
+        replayFsmConfidence(own, estimators);
 
-            FsmConfidence estimator(
-                static_cast<size_t>(options.stride.entries), designed.fsm,
-                series.label + " thr=" + formatPct(threshold));
-            const ConfidenceResult r =
-                simulateConfidence(own, options.stride, estimator);
+    size_t next = 0;
+    for (int order : options.histories) {
+        ParetoSeries series;
+        series.label = curveLabel(order);
+        for (double threshold : options.thresholds) {
+            const ConfidenceResult &r = fsm[next++];
             series.points.push_back({r.accuracy(), r.coverage(),
                                      "thr=" + formatPct(threshold)});
         }

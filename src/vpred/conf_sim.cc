@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
+#include <limits>
+#include <stdexcept>
 
+#include "fsmgen/predictor_fsm.hh"
 #include "fsmgen/profile.hh"
 #include "obs/metrics.hh"
 #include "support/bits.hh"
@@ -19,13 +23,13 @@ namespace
  * run so the per-load hot loop stays untouched.
  */
 void
-publishConfidenceRun(const ConfidenceEstimator &estimator,
+publishConfidenceRun(const std::string &estimator,
                      const ConfidenceResult &result)
 {
     obs::MetricsRegistry &registry = obs::globalMetrics();
     if (!registry.enabled())
         return;
-    const obs::Labels labels = {{"estimator", estimator.name()}};
+    const obs::Labels labels = {{"estimator", estimator}};
     registry
         .counter("autofsm_vpred_loads_total",
                  "Dynamic loads simulated by the confidence harness.",
@@ -43,6 +47,203 @@ publishConfidenceRun(const ConfidenceEstimator &estimator,
         .counter("autofsm_vpred_confident_correct_total",
                  "Confident loads that were also correct.", labels)
         .inc(result.confidentCorrect);
+}
+
+/** Confidence-engine stage timings, all cells registered together. */
+struct EngineTelemetry
+{
+    obs::Histogram streamMillis;
+    obs::Histogram replayMillis;
+    obs::Histogram collectMillis;
+};
+
+EngineTelemetry &
+engineTelemetry()
+{
+    static EngineTelemetry telemetry = [] {
+        obs::MetricsRegistry &registry = obs::globalMetrics();
+        const std::vector<double> buckets =
+            obs::defaultLatencyBucketsMillis();
+        const auto stage = [&](const char *name) {
+            return registry.histogram(
+                "autofsm_vpred_stage_millis",
+                "Wall-clock of one confidence-engine stage.", buckets,
+                {{"stage", name}});
+        };
+        EngineTelemetry t;
+        t.streamMillis = stage("stream");
+        t.replayMillis = stage("replay");
+        t.collectMillis = stage("collect");
+        return t;
+    }();
+    return telemetry;
+}
+
+/** Observes the wall-clock of its scope into one stage histogram. */
+class StageTimer
+{
+  public:
+    explicit StageTimer(obs::Histogram &histogram)
+        : histogram_(histogram), start_(std::chrono::steady_clock::now())
+    {}
+
+    StageTimer(const StageTimer &) = delete;
+    StageTimer &operator=(const StageTimer &) = delete;
+
+    ~StageTimer()
+    {
+        histogram_.observe(std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start_)
+                               .count());
+    }
+
+  private:
+    obs::Histogram &histogram_;
+    std::chrono::steady_clock::time_point start_;
+};
+
+/** SUD configurations replayed per counter row (one byte each). */
+constexpr size_t kSudLanes = 64;
+
+/**
+ * Loads between flushes of the per-lane byte tallies into the 64-bit
+ * totals: each load adds at most 1 to a tally, so 255 cannot wrap.
+ */
+constexpr size_t kTallyFlush = 255;
+
+/**
+ * One block of up to kSudLanes configurations in byte form. Counter
+ * arithmetic per lane, for value v in [0, max]:
+ *   correct: min(v, headroom) + inc   (headroom = max - inc)
+ *   wrong:   v > dec ? v - dec : 0
+ *   marked:  v >= threshold, masked off when threshold > max
+ * with inc and dec clamped to max, which leaves every result unchanged
+ * and keeps all operands and results inside a byte.
+ */
+struct SudLanes
+{
+    alignas(64) uint8_t headroom[kSudLanes] = {};
+    alignas(64) uint8_t inc[kSudLanes] = {};
+    alignas(64) uint8_t dec[kSudLanes] = {};
+    alignas(64) uint8_t threshold[kSudLanes] = {};
+    alignas(64) uint8_t enabled[kSudLanes] = {};
+};
+
+void
+checkSudConfig(const SudConfig &config)
+{
+    if (config.max < 1 || config.max > 255 || config.increment < 1 ||
+        config.decrement < 1 || config.threshold < 0 ||
+        config.threshold > config.max + 1) {
+        throw std::invalid_argument(
+            "replaySudConfidence: unrepresentable configuration " +
+            SudConfidence::label(config) +
+            " (needs 1 <= max <= 255, increment and decrement >= 1, "
+            "0 <= threshold <= max + 1)");
+    }
+}
+
+SudLanes
+packSudLanes(const SudConfig *configs, size_t count)
+{
+    SudLanes lanes;
+    for (size_t j = 0; j < count; ++j) {
+        const SudConfig &c = configs[j];
+        const int inc = std::min(c.increment, c.max);
+        lanes.headroom[j] = static_cast<uint8_t>(c.max - inc);
+        lanes.inc[j] = static_cast<uint8_t>(inc);
+        lanes.dec[j] = static_cast<uint8_t>(std::min(c.decrement, c.max));
+        const bool reachable = c.threshold <= c.max;
+        lanes.threshold[j] =
+            static_cast<uint8_t>(reachable ? c.threshold : 0);
+        lanes.enabled[j] = reachable ? 1 : 0;
+    }
+    return lanes;
+}
+
+/**
+ * Replay one lane block over the stream. Counter rows are entry-major,
+ * kSudLanes bytes each, all starting at 0 like a fresh SudCounter.
+ */
+void
+replaySudLanes(const CorrectnessStream &stream, const SudLanes &lanes,
+               std::vector<uint64_t> &confident,
+               std::vector<uint64_t> &confidentCorrect)
+{
+    std::vector<uint8_t> rows(stream.entries * kSudLanes, 0);
+    alignas(64) uint8_t marked[kSudLanes] = {};
+    alignas(64) uint8_t markedCorrect[kSudLanes] = {};
+    const uint32_t *entries = stream.entry.data();
+    const size_t n = stream.size();
+
+    for (size_t base = 0; base < n; base += kTallyFlush) {
+        const size_t end = std::min(n, base + kTallyFlush);
+        for (size_t i = base; i < end; ++i) {
+            uint8_t *row = rows.data() + size_t{entries[i]} * kSudLanes;
+            const uint8_t correct = stream.correctAt(i) ? 1 : 0;
+            const uint8_t keepUp = static_cast<uint8_t>(0 - correct);
+            for (size_t j = 0; j < kSudLanes; ++j) {
+                const uint8_t v = row[j];
+                const uint8_t mark = static_cast<uint8_t>(
+                    (v >= lanes.threshold[j]) & lanes.enabled[j]);
+                marked[j] = static_cast<uint8_t>(marked[j] + mark);
+                markedCorrect[j] =
+                    static_cast<uint8_t>(markedCorrect[j] + (mark & correct));
+                const uint8_t up = static_cast<uint8_t>(
+                    std::min(v, lanes.headroom[j]) + lanes.inc[j]);
+                const uint8_t down = static_cast<uint8_t>(
+                    v > lanes.dec[j] ? v - lanes.dec[j] : 0);
+                row[j] = static_cast<uint8_t>((up & keepUp) |
+                                              (down & ~keepUp));
+            }
+        }
+        for (size_t j = 0; j < confident.size(); ++j) {
+            confident[j] += marked[j];
+            confidentCorrect[j] += markedCorrect[j];
+        }
+        std::fill(std::begin(marked), std::end(marked), 0);
+        std::fill(std::begin(markedCorrect), std::end(markedCorrect), 0);
+    }
+}
+
+/** An FsmTable in compact form: uint16 successors, 0/1 outputs. */
+struct CompactFsm
+{
+    std::vector<uint16_t> next; ///< next[2 * state + correct]
+    std::vector<uint8_t> output;
+    uint16_t start = 0;
+};
+
+CompactFsm
+compileFsm(const FsmEstimator &estimator)
+{
+    if (estimator.fsm == nullptr)
+        throw std::invalid_argument("replayFsmConfidence: null machine");
+    const FsmTable table(*estimator.fsm);
+    const int n = table.numStates();
+    if (n < 1 || n > 65535) {
+        throw std::invalid_argument(
+            "replayFsmConfidence: " + estimator.label + " has " +
+            std::to_string(n) + " states (needs 1..65535)");
+    }
+    const auto state = [&](int s) {
+        if (s < 0 || s >= n) {
+            throw std::invalid_argument("replayFsmConfidence: " +
+                                        estimator.label +
+                                        " has an undefined transition");
+        }
+        return static_cast<uint16_t>(s);
+    };
+    CompactFsm fsm;
+    fsm.next.resize(static_cast<size_t>(n) * 2);
+    fsm.output.resize(static_cast<size_t>(n));
+    for (int s = 0; s < n; ++s) {
+        fsm.next[static_cast<size_t>(s) * 2] = state(table.next(s, 0));
+        fsm.next[static_cast<size_t>(s) * 2 + 1] = state(table.next(s, 1));
+        fsm.output[static_cast<size_t>(s)] = table.output(s) != 0 ? 1 : 0;
+    }
+    fsm.start = state(table.start());
+    return fsm;
 }
 
 } // anonymous namespace
@@ -65,7 +266,7 @@ simulateConfidence(const ValueTrace &trace, ValuePredictor &predictor,
 
         estimator.update(entry, outcome.correct);
     }
-    publishConfidenceRun(estimator, result);
+    publishConfidenceRun(estimator.name(), result);
     return result;
 }
 
@@ -81,7 +282,128 @@ void
 collectConfidenceModels(const ValueTrace &trace, ValuePredictor &predictor,
                         std::vector<MarkovModel *> models)
 {
+    collectConfidenceModels(buildCorrectnessStream(trace, predictor),
+                            std::move(models));
+}
+
+void
+collectConfidenceModels(const ValueTrace &trace, const StrideConfig &config,
+                        std::vector<MarkovModel *> models)
+{
+    TwoDeltaStridePredictor predictor(config);
+    collectConfidenceModels(trace, predictor, std::move(models));
+}
+
+CorrectnessStream
+buildCorrectnessStream(const ValueTrace &trace, ValuePredictor &predictor)
+{
+    StageTimer timer(engineTelemetry().streamMillis);
+    CorrectnessStream stream;
+    stream.entries = predictor.entries();
+    if (stream.entries > std::numeric_limits<uint32_t>::max()) {
+        throw std::invalid_argument(
+            "buildCorrectnessStream: " + predictor.name() +
+            " has more than 2^32 entries");
+    }
+    stream.entry.resize(trace.size());
+    stream.correctWords.assign((trace.size() + 63) / 64, 0);
+    for (size_t i = 0; i < trace.size(); ++i) {
+        const size_t entry = predictor.indexOf(trace[i].pc);
+        const StrideOutcome outcome =
+            predictor.executeLoad(trace[i].pc, trace[i].value);
+        if (entry >= stream.entries || outcome.entry != entry) {
+            throw std::invalid_argument(
+                "buildCorrectnessStream: " + predictor.name() +
+                " maps a load to inconsistent or out-of-range entries");
+        }
+        stream.entry[i] = static_cast<uint32_t>(entry);
+        stream.correctWords[i >> 6] |=
+            uint64_t{outcome.correct ? 1U : 0U} << (i & 63);
+        stream.correct += outcome.correct;
+    }
+    return stream;
+}
+
+CorrectnessStream
+buildCorrectnessStream(const ValueTrace &trace, const StrideConfig &config)
+{
+    TwoDeltaStridePredictor predictor(config);
+    return buildCorrectnessStream(trace, predictor);
+}
+
+std::vector<ConfidenceResult>
+replaySudConfidence(const CorrectnessStream &stream,
+                    const std::vector<SudConfig> &configs)
+{
+    for (const SudConfig &config : configs)
+        checkSudConfig(config);
+
+    StageTimer timer(engineTelemetry().replayMillis);
+    std::vector<ConfidenceResult> results(configs.size());
+    for (size_t first = 0; first < configs.size(); first += kSudLanes) {
+        const size_t count = std::min(kSudLanes, configs.size() - first);
+        std::vector<uint64_t> confident(count, 0);
+        std::vector<uint64_t> confidentCorrect(count, 0);
+        replaySudLanes(stream, packSudLanes(&configs[first], count),
+                       confident, confidentCorrect);
+        for (size_t j = 0; j < count; ++j) {
+            ConfidenceResult &r = results[first + j];
+            r.loads = stream.size();
+            r.correct = stream.correct;
+            r.confident = confident[j];
+            r.confidentCorrect = confidentCorrect[j];
+        }
+    }
+    for (size_t i = 0; i < configs.size(); ++i)
+        publishConfidenceRun(SudConfidence::label(configs[i]), results[i]);
+    return results;
+}
+
+std::vector<ConfidenceResult>
+replayFsmConfidence(const CorrectnessStream &stream,
+                    const std::vector<FsmEstimator> &estimators)
+{
+    std::vector<CompactFsm> machines;
+    machines.reserve(estimators.size());
+    for (const FsmEstimator &estimator : estimators)
+        machines.push_back(compileFsm(estimator));
+
+    StageTimer timer(engineTelemetry().replayMillis);
+    std::vector<ConfidenceResult> results(estimators.size());
+    std::vector<uint16_t> states(stream.entries);
+    const uint32_t *entries = stream.entry.data();
+    for (size_t k = 0; k < machines.size(); ++k) {
+        const CompactFsm &fsm = machines[k];
+        const uint16_t *next = fsm.next.data();
+        const uint8_t *output = fsm.output.data();
+        std::fill(states.begin(), states.end(), fsm.start);
+        uint64_t confident = 0;
+        uint64_t confidentCorrect = 0;
+        for (size_t i = 0; i < stream.size(); ++i) {
+            uint16_t &state = states[entries[i]];
+            const unsigned correct = stream.correctAt(i) ? 1 : 0;
+            const unsigned mark = output[state];
+            confident += mark;
+            confidentCorrect += mark & correct;
+            state = next[2 * size_t{state} + correct];
+        }
+        ConfidenceResult &r = results[k];
+        r.loads = stream.size();
+        r.correct = stream.correct;
+        r.confident = confident;
+        r.confidentCorrect = confidentCorrect;
+    }
+    for (size_t k = 0; k < estimators.size(); ++k)
+        publishConfidenceRun(estimators[k].label, results[k]);
+    return results;
+}
+
+void
+collectConfidenceModels(const CorrectnessStream &stream,
+                        std::vector<MarkovModel *> models)
+{
     assert(!models.empty());
+    StageTimer timer(engineTelemetry().collectMillis);
     std::vector<int> orders;
     orders.reserve(models.size());
     int max_order = 0;
@@ -95,20 +417,18 @@ collectConfidenceModels(const ValueTrace &trace, ValuePredictor &predictor,
     // counter at the widest order absorbs every outcome; the per-order
     // tables are folded out at the end (fsmgen/profile.hh) instead of
     // updating every model inside the per-load loop.
-    std::vector<uint32_t> history(predictor.entries(), 0);
-    std::vector<int> pushes(predictor.entries(), 0);
+    std::vector<uint32_t> history(stream.entries, 0);
+    std::vector<int> pushes(stream.entries, 0);
     MultiOrderCounter counter(max_order);
 
-    for (const auto &record : trace) {
-        const StrideOutcome outcome =
-            predictor.executeLoad(record.pc, record.value);
-        const size_t entry = outcome.entry;
+    for (size_t i = 0; i < stream.size(); ++i) {
+        const uint32_t entry = stream.entry[i];
+        const uint32_t correct = stream.correctAt(i) ? 1U : 0U;
 
         counter.observe(history[entry], pushes[entry],
-                        outcome.correct ? 1 : 0);
+                        static_cast<int>(correct));
 
-        history[entry] = ((history[entry] << 1) |
-                          (outcome.correct ? 1U : 0U)) &
+        history[entry] = ((history[entry] << 1) | correct) &
             lowMask(max_order);
         if (pushes[entry] < max_order)
             ++pushes[entry];
@@ -117,14 +437,6 @@ collectConfidenceModels(const ValueTrace &trace, ValuePredictor &predictor,
     MultiOrderProfile profile = counter.finish(orders);
     for (MarkovModel *model : models)
         model->merge(profile.model(model->order()));
-}
-
-void
-collectConfidenceModels(const ValueTrace &trace, const StrideConfig &config,
-                        std::vector<MarkovModel *> models)
-{
-    TwoDeltaStridePredictor predictor(config);
-    collectConfidenceModels(trace, predictor, std::move(models));
 }
 
 } // namespace autofsm

@@ -8,13 +8,25 @@
  * table entry's correctness history into Markov models of the requested
  * orders (this is how the cross-trained FSM estimators of Figure 2 are
  * built).
+ *
+ * The predictor never sees the estimator, so its verdicts do not depend
+ * on which estimator is measured. The confidence engine exploits that:
+ * `buildCorrectnessStream` runs the predictor once and records, per
+ * load, the table entry and whether the prediction was correct; the
+ * replays then drive any number of SUD configurations or FSM
+ * estimators (and the training pass) over that stream. The virtual
+ * per-estimator `simulateConfidence` loop stays as the reference the
+ * engine is tested against.
  */
 
 #ifndef AUTOFSM_VPRED_CONF_SIM_HH
 #define AUTOFSM_VPRED_CONF_SIM_HH
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "automata/dfa.hh"
 #include "fsmgen/markov.hh"
 #include "trace/value_trace.hh"
 #include "vpred/confidence.hh"
@@ -83,6 +95,77 @@ void collectConfidenceModels(const ValueTrace &trace,
 /** Convenience overload: fresh two-delta stride predictor. */
 void collectConfidenceModels(const ValueTrace &trace,
                              const StrideConfig &config,
+                             std::vector<MarkovModel *> models);
+
+/**
+ * One value-predictor pass recorded for replay, structure of arrays:
+ * per load, the table entry whose estimator is consulted and whether
+ * the value prediction was correct.
+ */
+struct CorrectnessStream
+{
+    /** Estimator bank size: the predictor's entries(). */
+    size_t entries = 0;
+    /** Total correct predictions over the stream. */
+    uint64_t correct = 0;
+    /** Table entry of load i. */
+    std::vector<uint32_t> entry;
+    /** Bit (i & 63) of word (i >> 6) is load i's correct bit. */
+    std::vector<uint64_t> correctWords;
+
+    size_t size() const { return entry.size(); }
+
+    bool
+    correctAt(size_t i) const
+    {
+        return (correctWords[i >> 6] >> (i & 63)) & 1;
+    }
+};
+
+/**
+ * Run @p trace through @p predictor once and record its correctness
+ * stream. Throws std::invalid_argument for a predictor whose entry
+ * indices do not fit the stream (entries() above 2^32, an index out of
+ * range, or executeLoad reporting a different entry than indexOf).
+ */
+CorrectnessStream buildCorrectnessStream(const ValueTrace &trace,
+                                         ValuePredictor &predictor);
+
+/** Convenience overload: fresh two-delta stride predictor. */
+CorrectnessStream buildCorrectnessStream(const ValueTrace &trace,
+                                         const StrideConfig &config);
+
+/**
+ * Measure every configuration in @p configs over @p stream in one
+ * replay; result i equals simulateConfidence with a fresh
+ * SudConfidence(stream.entries, configs[i]). Throws
+ * std::invalid_argument for a configuration the byte counters cannot
+ * represent (max outside [1, 255]) or SudCounter rejects.
+ */
+std::vector<ConfidenceResult>
+replaySudConfidence(const CorrectnessStream &stream,
+                    const std::vector<SudConfig> &configs);
+
+/** One FSM estimator to replay: the machine and its report label. */
+struct FsmEstimator
+{
+    const Dfa *fsm = nullptr;
+    std::string label = "fsm";
+};
+
+/**
+ * Measure every estimator in @p estimators over @p stream; result i
+ * equals simulateConfidence with a fresh FsmConfidence(stream.entries,
+ * *estimators[i].fsm, estimators[i].label). Throws
+ * std::invalid_argument for a null machine or one with more than 65535
+ * states.
+ */
+std::vector<ConfidenceResult>
+replayFsmConfidence(const CorrectnessStream &stream,
+                    const std::vector<FsmEstimator> &estimators);
+
+/** Training pass over a recorded stream (same models as the trace form). */
+void collectConfidenceModels(const CorrectnessStream &stream,
                              std::vector<MarkovModel *> models);
 
 } // namespace autofsm

@@ -22,9 +22,15 @@ SudConfidence::update(size_t entry, bool correct)
 std::string
 SudConfidence::name() const
 {
-    return "sud(max=" + std::to_string(config_.max) +
-        ",dec=" + std::to_string(config_.decrement) +
-        ",thr=" + std::to_string(config_.threshold) + ")";
+    return label(config_);
+}
+
+std::string
+SudConfidence::label(const SudConfig &config)
+{
+    return "sud(max=" + std::to_string(config.max) +
+        ",dec=" + std::to_string(config.decrement) +
+        ",thr=" + std::to_string(config.threshold) + ")";
 }
 
 FsmConfidence::FsmConfidence(size_t entries, const Dfa &fsm,

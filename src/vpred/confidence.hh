@@ -49,6 +49,9 @@ class SudConfidence : public ConfidenceEstimator
     void update(size_t entry, bool correct) override;
     std::string name() const override;
 
+    /** The report label of a bank of @p config counters. */
+    static std::string label(const SudConfig &config);
+
   private:
     SudConfig config_;
     std::vector<SudCounter> counters_;
