@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "bpred/trainer.hh"
+#include "flow/design_flow.hh"
 #include "fsmgen/predictor_fsm.hh"
 #include "workloads/trace_cache.hh"
 
@@ -81,7 +82,7 @@ main(int argc, char **argv)
             design.patterns = options.patterns;
             design.minimizer = options.minimizer;
             const FsmDesignResult designed =
-                designFsm(worst.profile.model(order), design);
+                DesignFlow(design).run(worst.profile.model(order)).design;
             const double miss = fsmMissRate(designed.fsm, worst.pc, test);
             std::cout << std::setw(10) << name << std::setw(8) << order
                       << std::setw(10) << designed.statesFinal

@@ -15,6 +15,7 @@
 #include <iostream>
 
 #include "cache/bypass.hh"
+#include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
 #include "workloads/memory_workloads.hh"
 
@@ -60,7 +61,7 @@ main(int argc, char **argv)
         }
         FsmDesignOptions design;
         design.order = 4;
-        const FsmDesignResult designed = designFsm(model, design);
+        const FsmDesignResult designed = DesignFlow(design).run(model).design;
         FsmBypass fsm(log2_entries, designed.fsm);
         const BypassSimResult fsm_r = simulateBypass(own, cache, fsm);
 

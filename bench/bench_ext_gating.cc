@@ -19,6 +19,7 @@
 
 #include "bpred/branch_confidence.hh"
 #include "bpred/btb.hh"
+#include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
 #include "workloads/trace_cache.hh"
 
@@ -96,7 +97,8 @@ main(int argc, char **argv)
             FsmDesignOptions design;
             design.order = 8;
             design.patterns.threshold = threshold;
-            const FsmDesignResult designed = designFsm(model, design);
+            const FsmDesignResult designed =
+                DesignFlow(design).run(model).design;
             XScaleBtb predictor;
             FsmBranchConfidence estimator(log2_entries, designed.fsm);
             printRow(name,

@@ -18,6 +18,7 @@
 #include <iostream>
 #include <memory>
 
+#include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
 #include "vpred/conf_sim.hh"
 #include "vpred/context_predictor.hh"
@@ -71,7 +72,8 @@ main(int argc, char **argv)
             FsmDesignOptions design;
             design.order = 6;
             design.patterns.threshold = 0.8;
-            const FsmDesignResult designed = designFsm(model, design);
+            const FsmDesignResult designed =
+                DesignFlow(design).run(model).design;
 
             auto predictor = make();
             FsmConfidence estimator(predictor->entries(), designed.fsm);

@@ -11,6 +11,7 @@
 
 #include <iostream>
 
+#include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
 #include "synth/vhdl.hh"
 
@@ -41,7 +42,7 @@ void
 printArtifacts()
 {
     const FsmDesignResult result =
-        designFromTrace(paperTrace(), paperOptions());
+        DesignFlow(paperOptions()).runOnTrace(paperTrace()).design;
 
     std::cout << "Reproduction of Figure 1 / Section 4 worked example\n";
     std::cout << "trace t = 0000 1000 1011 1101 1110 1111 (N = 2)\n\n";
@@ -70,7 +71,7 @@ BM_DesignFlowPaperExample(benchmark::State &state)
     const std::vector<int> trace = paperTrace();
     const FsmDesignOptions options = paperOptions();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(designFromTrace(trace, options));
+        benchmark::DoNotOptimize(DesignFlow(options).runOnTrace(trace).design);
     }
 }
 BENCHMARK(BM_DesignFlowPaperExample);
@@ -88,7 +89,7 @@ BM_DesignFlowHistory9(benchmark::State &state)
     FsmDesignOptions options;
     options.order = 9;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(designFromTrace(trace, options));
+        benchmark::DoNotOptimize(DesignFlow(options).runOnTrace(trace).design);
     }
 }
 BENCHMARK(BM_DesignFlowHistory9);

@@ -61,7 +61,7 @@ main(int argc, char **argv)
 
     for (const std::string &name : valueBenchmarkNames()) {
         const Fig2Benchmark result = runFigure2(name, options);
-        printFig2(std::cout, result);
+        Fig2Report(result).renderText(std::cout);
 
         std::cout << std::fixed << std::setprecision(1);
         for (double target : {0.7, 0.8, 0.9}) {

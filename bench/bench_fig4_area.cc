@@ -36,7 +36,7 @@ main(int argc, char **argv)
               << options.historyLength << "\n\n";
 
     const Fig4Result result = runFigure4(options);
-    printFig4(std::cout, result);
+    Fig4Report(result).renderText(std::cout);
     bench::exportMetricsIfRequested(args);
     return 0;
 }

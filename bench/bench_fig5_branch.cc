@@ -58,7 +58,7 @@ main(int argc, char **argv)
 
     for (const std::string &name : branchBenchmarkNames()) {
         const Fig5Benchmark result = runFigure5(name, options);
-        printFig5(std::cout, result);
+        Fig5Report(result).renderText(std::cout);
 
         // Headline summary rows (Section 7.5 claims).
         const double custom_best =

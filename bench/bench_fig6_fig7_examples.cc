@@ -12,6 +12,7 @@
 
 #include <iostream>
 
+#include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
 #include "fsmgen/markov.hh"
 #include "support/rng.hh"
@@ -61,7 +62,7 @@ showMachine(const std::string &title, int order,
     FsmDesignOptions options;
     options.order = order;
     options.patterns.dontCareMass = 0.0;
-    const FsmDesignResult result = designFsm(model, options);
+    const FsmDesignResult result = DesignFlow(options).run(model).design;
 
     std::cout << "target patterns:   ";
     for (const auto &p : patterns)

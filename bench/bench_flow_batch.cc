@@ -2,7 +2,7 @@
  * @file
  * Benchmarks the parallel batch design pipeline on the Figure 5
  * workload: every hot branch of every branch benchmark is collected into
- * one batch, designed serially (the legacy per-item path) and then via
+ * one batch, designed serially (one DesignFlow run per item) and then via
  * BatchDesigner at several thread counts. Verifies that every parallel
  * result is bit-identical to the serial one, reports the wall-clock
  * speedups, the memo-cache behavior, and the aggregate per-stage time
@@ -175,10 +175,10 @@ main(int argc, char **argv)
     std::vector<FsmDesignResult> serial;
     serial.reserve(models.size());
     for (const auto &model : models)
-        serial.push_back(designFsm(model, design));
+        serial.push_back(DesignFlow(design).run(model).design);
     const double serial_ms = millisSince(serial_start);
     std::cout << std::fixed << std::setprecision(1);
-    std::cout << "serial designFsm loop: " << serial_ms << " ms\n\n";
+    std::cout << "serial DesignFlow loop: " << serial_ms << " ms\n\n";
 
     // --- Batch runs at increasing thread counts.
     std::cout << std::setw(8) << "threads" << std::setw(10) << "memo"

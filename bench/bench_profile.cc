@@ -210,7 +210,7 @@ main(int argc, char **argv)
             design.minimizer = options.minimizer;
             for (const BranchModelSweep &sweep : sweeps) {
                 const FsmDesignResult designed =
-                    designFsm(sweep.profile.model(order), design);
+                    DesignFlow(design).run(sweep.profile.model(order)).design;
                 timing.machines += designed.fsm.numStates() > 0;
             }
         }

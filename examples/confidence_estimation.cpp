@@ -12,6 +12,7 @@
 #include <iomanip>
 #include <iostream>
 
+#include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
 #include "vpred/conf_sim.hh"
 #include "workloads/value_workloads.hh"
@@ -50,7 +51,7 @@ main(int argc, char **argv)
         FsmDesignOptions design;
         design.order = history;
         design.patterns.threshold = threshold;
-        const FsmDesignResult result = designFsm(model, design);
+        const FsmDesignResult result = DesignFlow(design).run(model).design;
 
         FsmConfidence estimator(static_cast<size_t>(stride.entries),
                                 result.fsm);

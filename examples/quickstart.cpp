@@ -32,8 +32,8 @@ main()
         trace.push_back(c == '1');
 
     // --- 2. Run the automated design flow ------------------------------
-    // DesignFlow is the stage-oriented front door; the one-line legacy
-    // equivalent is designFromTrace(trace, options).
+    // DesignFlow is the stage-oriented front door: run.design holds the
+    // artifacts, run.trace the per-stage observations.
     FsmDesignOptions options;
     options.order = 2;                  // history length N
     options.patterns.threshold = 0.5;   // predict 1 when P[1|h] >= 1/2

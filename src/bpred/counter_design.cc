@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 
+#include "flow/design_flow.hh"
 #include "support/history.hh"
 
 namespace autofsm
@@ -32,7 +33,7 @@ designGeneralCounter(const std::vector<BranchTrace> &traces,
     MarkovModel model(options.order);
     for (const BranchTrace &trace : traces)
         collectLocalOutcomeModel(trace, model);
-    return designFsm(model, options);
+    return DesignFlow(options).run(model).design;
 }
 
 } // namespace autofsm

@@ -19,6 +19,20 @@ namespace
 
 std::atomic<TraceRefResolver> g_traceResolver{nullptr};
 
+/** Resolve request.traceRef through the installed resolver. */
+std::vector<int>
+resolveTraceRef(const DesignRequest &request)
+{
+    const TraceRefResolver resolver =
+        g_traceResolver.load(std::memory_order_acquire);
+    if (resolver == nullptr) {
+        throw std::invalid_argument(
+            "DesignRequest: traceRef '" + request.traceRef +
+            "' given but no trace resolver is installed");
+    }
+    return resolver(request.traceRef, request.traceBranches);
+}
+
 constexpr int kMinOrder = 1;
 constexpr int kMaxOrder = 24; // MarkovModel's packed-history ceiling
 constexpr uint64_t kMaxTraceBranches = 100u * 1000 * 1000;
@@ -80,8 +94,6 @@ renderOptions(JsonWriter &json, const FsmDesignOptions &options)
     json.key("order").value(options.order);
     json.key("minimizer").value(minimizeAlgoName(options.minimizer));
     json.key("keepStartupStates").value(options.keepStartupStates);
-    json.key("flatProfiling").value(options.flatProfiling);
-    json.key("memoizeStages").value(options.memoizeStages);
     json.key("patterns");
     json.beginObject();
     json.key("threshold").value(options.patterns.threshold);
@@ -304,24 +316,10 @@ resolveRequestModel(const DesignRequest &request)
     request.validate();
     if (request.model)
         return *request.model;
-
-    std::vector<int> resolved;
-    const std::vector<int> *outcomes = &request.outcomes;
-    if (!request.traceRef.empty()) {
-        const TraceRefResolver resolver = traceRefResolver();
-        if (resolver == nullptr) {
-            throw std::invalid_argument(
-                "DesignRequest: traceRef '" + request.traceRef +
-                "' given but no trace resolver is installed");
-        }
-        resolved = resolver(request.traceRef, request.traceBranches);
-        outcomes = &resolved;
-    }
-    if (request.options.flatProfiling)
-        return trainMarkovModel(*outcomes, request.options.order);
-    MarkovModel model(request.options.order);
-    model.train(*outcomes);
-    return model;
+    if (!request.traceRef.empty())
+        return trainMarkovModel(resolveTraceRef(request),
+                                request.options.order);
+    return trainMarkovModel(request.outcomes, request.options.order);
 }
 
 std::vector<int>
@@ -334,13 +332,7 @@ resolveRequestOutcomes(const DesignRequest &request)
             "DesignRequest: no outcome stream to evaluate (source is a "
             "pre-trained model)");
     }
-    const TraceRefResolver resolver = traceRefResolver();
-    if (resolver == nullptr) {
-        throw std::invalid_argument(
-            "DesignRequest: traceRef '" + request.traceRef +
-            "' given but no trace resolver is installed");
-    }
-    return resolver(request.traceRef, request.traceBranches);
+    return resolveTraceRef(request);
 }
 
 FlowResult
@@ -352,14 +344,7 @@ runDesignRequest(const DesignRequest &request)
         return flow.run(*request.model);
     if (!request.outcomes.empty())
         return flow.runOnTrace(request.outcomes);
-    const TraceRefResolver resolver = traceRefResolver();
-    if (resolver == nullptr) {
-        throw std::invalid_argument(
-            "DesignRequest: traceRef '" + request.traceRef +
-            "' given but no trace resolver is installed");
-    }
-    return flow.runOnTrace(
-        resolver(request.traceRef, request.traceBranches));
+    return flow.runOnTrace(resolveTraceRef(request));
 }
 
 DesignResponse
@@ -578,8 +563,7 @@ fsmDesignOptionsFromJson(const JsonValue &value)
 {
     rejectUnknownFields(value,
                         {"order", "minimizer", "keepStartupStates",
-                         "flatProfiling", "memoizeStages", "patterns",
-                         "budget"},
+                         "patterns", "budget"},
                         "options");
     FsmDesignOptions options;
     if (const JsonValue *v = value.find("order")) {
@@ -595,10 +579,6 @@ fsmDesignOptionsFromJson(const JsonValue &value)
         options.minimizer = minimizeAlgoFromName(v->asString());
     if (const JsonValue *v = value.find("keepStartupStates"))
         options.keepStartupStates = v->asBool();
-    if (const JsonValue *v = value.find("flatProfiling"))
-        options.flatProfiling = v->asBool();
-    if (const JsonValue *v = value.find("memoizeStages"))
-        options.memoizeStages = v->asBool();
     if (const JsonValue *v = value.find("patterns")) {
         rejectUnknownFields(
             *v, {"threshold", "dontCareMass", "unseenAreDontCare"},

@@ -10,12 +10,11 @@
  * (automata/dfa_io text), per-stage timings, degradation flags, and the
  * structured error taxonomy of flow/budget.hh.
  *
- * This is the single entry point of the library: the legacy
- * `designFsm`/`designFromTrace` free functions are one-line wrappers
- * over `runDesignRequest` (flow/compat.cc), `BatchDesigner` carries
- * DesignRequests internally, and the autofsm-serve daemon speaks
- * exactly this schema as JSON over its framed socket protocol — the
- * wire format and the in-process API are the same thing.
+ * `runDesignRequest` is the validating entry point over `DesignFlow`,
+ * `BatchDesigner` carries DesignRequests internally, and the
+ * autofsm-serve daemon speaks exactly this schema as JSON over its
+ * framed socket protocol — the wire format and the in-process API are
+ * the same thing.
  *
  * Request classes follow "Prediction with Restricted Resources and
  * Finite Automata" (PAPERS.md, arXiv 0812.1949): each class names a
@@ -68,9 +67,8 @@ FlowBudget budgetForClass(RequestClass klass);
  *    TraceRefResolver (the daemon and benches install the synthetic
  *    branch-workload resolver; see setTraceRefResolver);
  *  - `outcomes`: the binary behavior stream inline;
- *  - `model`: a pre-trained Markov model (the in-process fast path the
- *    legacy designFsm wrapper uses; also serializable for wire clients
- *    that profile locally).
+ *  - `model`: a pre-trained Markov model (the in-process fast path;
+ *    also serializable for wire clients that profile locally).
  */
 struct DesignRequest
 {
@@ -220,10 +218,9 @@ TraceRefResolver traceRefResolver();
 
 /**
  * Resolve the request's behavior source to a Markov model at
- * options.order: pass a pre-trained model through, train on inline
- * outcomes (honoring options.flatProfiling), or resolve + train a
- * traceRef. Used by the batch pipeline so identical behaviors dedupe
- * before design.
+ * options.order: pass a pre-trained model through, or train
+ * (trainMarkovModel) on inline outcomes or a resolved traceRef. Used by
+ * the batch pipeline so identical behaviors dedupe before design.
  *
  * @throws std::invalid_argument on validation failure or unknown ref.
  */
@@ -242,9 +239,8 @@ std::vector<int> resolveRequestOutcomes(const DesignRequest &request);
 
 /**
  * The single throwing entry point: validate, resolve the source, run
- * the design flow under request.options. The legacy designFsm /
- * designFromTrace wrappers delegate here; with a default budget the
- * artifacts are bit-identical to the pre-API pipeline.
+ * the design flow under request.options. The artifacts are exactly
+ * DesignFlow(request.options).run / runOnTrace's.
  *
  * @throws FlowError / std::invalid_argument as the flow does.
  */

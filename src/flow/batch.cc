@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "flow/budget.hh"
-#include "fsmgen/profile.hh"
 #include "sim/bitsliced.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
@@ -182,6 +181,9 @@ BatchDesigner::designRequests(const std::vector<DesignRequest> &requests)
     // Phase 1: resolve every behavior source to a Markov model. A
     // request whose source cannot be resolved (unknown traceRef, bad
     // outcomes) fails in its own slot and skips the design phase.
+    // Resolving an outcome-bearing source is that request's markov
+    // stage (trace resolution plus profiling), so it is observed into
+    // the flow's markov histogram; a pre-trained model ran none.
     std::vector<BatchItemResult> results(requests.size());
     std::vector<std::optional<MarkovModel>> models(requests.size());
     runParallel(requests.size(), [&](size_t i) {
@@ -192,8 +194,16 @@ BatchDesigner::designRequests(const std::vector<DesignRequest> &requests)
             span.emplace(tracer, "batch.resolve",
                          requests[i].obsContext.rootSpan);
         }
+        const auto start = std::chrono::steady_clock::now();
         try {
             models[i] = resolveRequestModel(requests[i]);
+            if (!requests[i].model) {
+                observeFlowStageMillis(
+                    FlowStage::Markov,
+                    std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
+            }
         } catch (...) {
             classifyFailure(results[i], std::current_exception());
         }
@@ -422,25 +432,6 @@ BatchDesigner::designAll(const std::vector<MarkovModel> &models)
         requests[i].options = flow_.options();
     }
     return designRequests(requests);
-}
-
-std::vector<BatchItemResult>
-BatchDesigner::designTraces(const std::vector<std::vector<int>> &traces)
-{
-    const int order = flow_.options().order;
-    const bool flat = flow_.options().flatProfiling;
-    std::vector<MarkovModel> models(traces.size(), MarkovModel(order));
-    auto train = [&](size_t i) {
-        if (flat)
-            models[i] = trainMarkovModel(traces[i], order);
-        else
-            models[i].train(traces[i]);
-    };
-    if (options_.pool != nullptr)
-        parallelForOn(*options_.pool, traces.size(), train);
-    else
-        parallelFor(traces.size(), train, options_.threads);
-    return designAll(models);
 }
 
 DesignResponse

@@ -2,12 +2,12 @@
  * @file
  * Thread-pool-driven batch execution of the design flow.
  *
- * `BatchDesigner` takes N Markov models (or raw traces) — e.g. every hot
- * branch of a Figure 5 benchmark, or all benchmarks of Figure 4 — and
+ * `BatchDesigner` takes N Markov models (or DesignRequests) — e.g. every
+ * hot branch of a Figure 5 benchmark, or all benchmarks of Figure 4 — and
  * designs them concurrently. Guarantees:
  *
  *  - **Determinism**: results come back in input order and each machine is
- *    bit-identical to what the serial `designFsm` produces, regardless of
+ *    bit-identical to what a serial `DesignFlow::run` produces, regardless of
  *    thread count (the flow itself is single-threaded per item; threads
  *    only partition items).
  *  - **Memoization**: items with identical Markov model content (and the
@@ -142,16 +142,18 @@ class BatchDesigner
 
     const BatchOptions &batchOptions() const { return options_; }
 
-    /** Counters of the most recent designAll/designTraces call. */
+    /** Counters of the most recent designAll/designRequests call. */
     const BatchStats &stats() const { return stats_; }
 
     /**
      * Design every request of @p requests concurrently. This is the
-     * batch engine proper — designAll/designTraces wrap it — and what
-     * the serve daemon's dispatcher feeds.
+     * batch engine proper — designAll wraps it — and what the serve
+     * daemon's dispatcher feeds.
      *
      * Each request is resolved to a Markov model (resolveRequestModel;
-     * a resolution failure is isolated to its own slot), deduplicated
+     * a resolution failure is isolated to its own slot; an
+     * outcome-bearing request's resolution is observed as its markov
+     * stage in autofsm_flow_stage_millis), deduplicated
      * against requests with identical model content *and* identical
      * design options, and designed under its own `options` with the
      * retry policy.
@@ -175,13 +177,6 @@ class BatchDesigner
      */
     std::vector<BatchItemResult>
     designAll(const std::vector<MarkovModel> &models);
-
-    /**
-     * Train one model per trace (in parallel, at designOptions().order),
-     * then design them as designAll does.
-     */
-    std::vector<BatchItemResult>
-    designTraces(const std::vector<std::vector<int>> &traces);
 
   private:
     DesignFlow flow_;

@@ -88,10 +88,9 @@ recordStage(FlowTrace &trace, FlowStage stage, obs::SpanScope &span,
 {
     const double millis = span.finishMillis();
     trace.add(stage, millis, metric, metric_name);
-    const auto index = static_cast<size_t>(stage);
-    flowTelemetry().stageMillis[index].observe(millis);
+    observeFlowStageMillis(stage, millis);
     if (metric > 0)
-        flowTelemetry().stageMetric[index].inc(
+        flowTelemetry().stageMetric[static_cast<size_t>(stage)].inc(
             static_cast<uint64_t>(metric));
 }
 
@@ -120,6 +119,12 @@ flowStageFromName(std::string_view name)
             return stage;
     }
     return std::nullopt;
+}
+
+void
+observeFlowStageMillis(FlowStage stage, double millis)
+{
+    flowTelemetry().stageMillis[static_cast<size_t>(stage)].observe(millis);
 }
 
 const StageRecord *
@@ -180,13 +185,7 @@ DesignFlow::runOnTrace(const std::vector<int> &trace) const
     const Deadline deadline(options_.budget.deadlineMillis);
     obs::SpanScope span(obs::currentTracer(), "flow.markov");
     AUTOFSM_FAILPOINT("flow.markov");
-    MarkovModel model = options_.flatProfiling
-        ? trainMarkovModel(trace, options_.order)
-        : [&] {
-              MarkovModel sparse(options_.order);
-              sparse.train(trace);
-              return sparse;
-          }();
+    const MarkovModel model = trainMarkovModel(trace, options_.order);
     FlowTrace flow_trace;
     recordStage(flow_trace, FlowStage::Markov, span,
                 static_cast<int64_t>(model.distinctHistories()),
@@ -300,8 +299,7 @@ DesignFlow::runStages(const MarkovModel &model, FlowTrace trace,
     // driven.
     AUTOFSM_FAILPOINT("flow.designmemo");
     std::optional<DesignMemoKey> memo_key;
-    if (options_.memoizeStages && options_.budget.unlimited() &&
-        !failpoint::armed()) {
+    if (options_.budget.unlimited() && !failpoint::armed()) {
         memo_key = designMemoKey(result.patterns, options_.minimizer,
                                  options_.keepStartupStates);
         if (const auto entry = designMemoLookup(*memo_key)) {

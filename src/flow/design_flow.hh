@@ -2,11 +2,10 @@
  * @file
  * Stage-oriented view of the Section 4 design flow.
  *
- * `DesignFlow` runs the same pipeline as the legacy `designFsm` free
- * function (which is now a thin wrapper over it), but decomposes it into
- * named, individually observable stages: markov (when starting from a raw
- * trace), patterns, minimize, regex, subset construction (nfa->dfa),
- * Hopcroft and start-state reduction. Each run yields the usual
+ * `DesignFlow` is the one implementation of the pipeline. It decomposes
+ * it into named, individually observable stages: markov (when starting
+ * from a raw trace), patterns, minimize, regex, subset construction
+ * (nfa->dfa), Hopcroft and start-state reduction. Each run yields the usual
  * `FsmDesignResult` plus a `FlowTrace` carrying per-stage wall-clock time
  * and a stage-specific size metric, so benches and the batch designer can
  * report where time and states go without instrumenting the flow
@@ -45,6 +44,13 @@ const char *flowStageName(FlowStage stage);
 
 /** Inverse of flowStageName; nullopt for an unknown name. */
 std::optional<FlowStage> flowStageFromName(std::string_view name);
+
+/**
+ * Observe @p millis into `autofsm_flow_stage_millis{stage}`, for a stage
+ * run outside DesignFlow (the batch engine's model resolution is its
+ * markov stage).
+ */
+void observeFlowStageMillis(FlowStage stage, double millis);
 
 /** One executed stage: how long it took and how big its product is. */
 struct StageRecord
@@ -166,12 +172,15 @@ class DesignFlow
      * Run the flow on a pre-built Markov model.
      *
      * @throws std::invalid_argument if the model's order does not match
-     *         options().order (the legacy designFsm asserted instead;
-     *         throwing lets the batch designer isolate poisoned items).
+     *         options().order (throwing lets the batch designer isolate
+     *         poisoned items).
      */
     FlowResult run(const MarkovModel &model) const;
 
-    /** Train a model on @p trace (recorded as the markov stage), then run. */
+    /**
+     * Train a model on @p trace with the flat profiler
+     * (trainMarkovModel, recorded as the markov stage), then run.
+     */
     FlowResult runOnTrace(const std::vector<int> &trace) const;
 
   private:

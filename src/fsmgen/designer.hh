@@ -8,18 +8,17 @@
  * benches and tests can inspect intermediate products (e.g. Figure 1
  * shows the machine both before and after start-state reduction).
  *
- * `designFsm` / `designFromTrace` are retained as thin compatibility
- * wrappers over the stage-oriented pipeline in flow/design_flow.hh
- * (`DesignFlow`), which additionally reports per-stage wall-clock and
- * size metrics; batches of traces should go through flow/batch.hh
- * (`BatchDesigner`) to get parallelism and memoization.
+ * This header holds the flow's knobs and artifacts only. The pipeline
+ * itself runs through `DesignFlow` (flow/design_flow.hh), which also
+ * reports per-stage wall-clock and size metrics; batches go through
+ * `BatchDesigner` (flow/batch.hh) for parallelism and memoization, and
+ * wire-shaped requests through `runDesignRequest` (flow/api.hh).
  */
 
 #ifndef AUTOFSM_FSMGEN_DESIGNER_HH
 #define AUTOFSM_FSMGEN_DESIGNER_HH
 
 #include <string>
-#include <vector>
 
 #include "automata/dfa.hh"
 #include "automata/regex.hh"
@@ -53,20 +52,6 @@ struct FsmDesignOptions
      * instead of stalling (see DesignFlow's fallback ladder).
      */
     FlowBudget budget;
-    /**
-     * Train trace-entry models through the flat counting kernels of
-     * fsmgen/profile.hh instead of the sparse per-outcome map walk.
-     * Bit-identical models either way; off keeps the reference path.
-     */
-    bool flatProfiling = true;
-    /**
-     * Consult the process-wide design-stage memo (flow/design_memo.hh)
-     * that shares the minimize->regex->NFA->DFA->reduce tail across
-     * items with identical pattern partitions. Hits return bit-identical
-     * artifacts; the memo is bypassed automatically when the budget is
-     * finite or a failpoint is armed.
-     */
-    bool memoizeStages = true;
 };
 
 /** All artifacts produced by one run of the design flow. */
@@ -75,7 +60,7 @@ struct FsmDesignResult
     PatternSets patterns;
     /**
      * Minimized sum-of-products description of the "predict 1" set.
-     * Starts as an empty 1-input cover; designFsm replaces it with a
+     * Starts as an empty 1-input cover; the flow replaces it with a
      * cover over the N history bits.
      */
     Cover cover = Cover::forInputs(1);
@@ -93,18 +78,6 @@ struct FsmDesignResult
     int statesFinal = 0;    ///< after start-state reduction
     /// @}
 };
-
-/**
- * Run the design flow on a pre-built Markov model.
- *
- * @throws std::invalid_argument if model.order() != options.order.
- */
-FsmDesignResult designFsm(const MarkovModel &model,
-                          const FsmDesignOptions &options = {});
-
-/** Convenience: train a model on @p trace, then run the flow. */
-FsmDesignResult designFromTrace(const std::vector<int> &trace,
-                                const FsmDesignOptions &options = {});
 
 } // namespace autofsm
 

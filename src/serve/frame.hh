@@ -11,11 +11,10 @@
  *     bytes 10+   payload (JSON, flow/api.hh schema)
  *
  * The decoder rejects wrong versions, unknown types, oversized lengths
- * and CRC mismatches with a typed `FrameError` — in the spirit of the
- * trace_io hardening, a process boundary validates before it trusts. A
- * merely *incomplete* frame is not an error: `next()` returns nullopt
- * until more bytes arrive, so the decoder drives a plain streaming
- * socket read loop.
+ * and CRC mismatches with a typed `FrameError` — a process boundary
+ * validates before it trusts. A merely *incomplete* frame is not an
+ * error: `next()` returns nullopt until more bytes arrive, so the
+ * decoder drives a plain streaming socket read loop.
  */
 
 #ifndef AUTOFSM_SERVE_FRAME_HH

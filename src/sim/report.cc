@@ -235,22 +235,4 @@ Fig5Report::renderJson(std::ostream &out) const
     json.endObject();
 }
 
-void
-printFig2(std::ostream &out, const Fig2Benchmark &benchmark)
-{
-    Fig2Report(benchmark).renderText(out);
-}
-
-void
-printFig4(std::ostream &out, const Fig4Result &result)
-{
-    Fig4Report(result).renderText(out);
-}
-
-void
-printFig5(std::ostream &out, const Fig5Benchmark &benchmark)
-{
-    Fig5Report(benchmark).renderText(out);
-}
-
 } // namespace autofsm

@@ -5,9 +5,7 @@
  * A `Report` wraps one figure's data and renders it two ways: the
  * historical fixed-width text tables (renderText) and a machine-diffable
  * JSON document (renderJson / toJson), so bench output can be consumed by
- * scripts and compared across runs. The legacy `printFig2/4/5` free
- * functions remain as one-release compatibility wrappers over the text
- * renderer.
+ * scripts and compared across runs.
  */
 
 #ifndef AUTOFSM_SIM_REPORT_HH
@@ -93,14 +91,6 @@ class Fig5Report final : public Report
   private:
     Fig5Benchmark data_;
 };
-
-/** @name Legacy printers (deprecated one-release wrappers).
- *  Equivalent to FigNReport(benchmark).renderText(out). */
-/// @{
-void printFig2(std::ostream &out, const Fig2Benchmark &benchmark);
-void printFig4(std::ostream &out, const Fig4Result &result);
-void printFig5(std::ostream &out, const Fig5Benchmark &benchmark);
-/// @}
 
 } // namespace autofsm
 

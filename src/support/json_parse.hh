@@ -6,9 +6,8 @@
  * the DesignRequest/DesignResponse API and the bench request-file replay
  * all deserialize through this. Deliberately strict — RFC 8259 only, no
  * comments, no trailing commas, full-input consumption — because every
- * payload it sees crosses a process boundary and the PR 4 trace_io
- * hardening set the precedent that boundary inputs are validated, not
- * trusted.
+ * payload it sees crosses a process boundary, and boundary inputs are
+ * validated, not trusted.
  *
  * Numbers are held as doubles (like JavaScript); asInt()/asUint() check
  * that the value is integral and in range, so protocol code gets typed

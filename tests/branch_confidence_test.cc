@@ -7,6 +7,7 @@
 
 #include "bpred/branch_confidence.hh"
 #include "bpred/btb.hh"
+#include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
 #include "workloads/branch_workloads.hh"
 
@@ -118,7 +119,7 @@ TEST(CollectBranchConfidenceModelTest, FsmEstimatorLearnsStructure)
     FsmDesignOptions design;
     design.order = 8;
     design.patterns.threshold = 0.7;
-    const FsmDesignResult designed = designFsm(model, design);
+    const FsmDesignResult designed = DesignFlow(design).run(model).design;
 
     XScaleBtb p1;
     FsmBranchConfidence fsm_estimator(10, designed.fsm);

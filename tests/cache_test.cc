@@ -8,6 +8,7 @@
 
 #include "cache/bypass.hh"
 #include "cache/cache.hh"
+#include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
 #include "workloads/memory_workloads.hh"
 
@@ -189,7 +190,7 @@ TEST(BypassSimTest, EndToEndFsmRescuesThrashingCache)
     }
     FsmDesignOptions design;
     design.order = 4;
-    const FsmDesignResult designed = designFsm(model, design);
+    const FsmDesignResult designed = DesignFlow(design).run(model).design;
 
     const ValueTrace own = makeMemoryTrace("stream_mix", 60000);
     NeverBypass never;

@@ -3,8 +3,8 @@
  * Deterministic fault-injection tests of the resilience layer: failpoint
  * trigger modes, the design flow's degradation ladders (minimizer and
  * automata fallbacks), budget/deadline enforcement, the batch retry
- * policy, and recovery paths in the trace cache, trace IO and the thread
- * pool. Every recovery path is driven deterministically — no timing or
+ * policy, and recovery paths in the trace cache and the thread pool.
+ * Every recovery path is driven deterministically — no timing or
  * scheduling luck — so the suite is also run under TSan in CI.
  */
 
@@ -14,7 +14,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -26,7 +25,6 @@
 #include "store/store.hh"
 #include "support/failpoint.hh"
 #include "support/thread_pool.hh"
-#include "trace/trace_io.hh"
 #include "workloads/branch_workloads.hh"
 #include "workloads/trace_cache.hh"
 
@@ -502,23 +500,6 @@ TEST_F(FaultTest, TraceCacheConcurrentCallersRecoverFromFailure)
     ASSERT_NE(trace, nullptr);
     EXPECT_FALSE(trace->empty());
     clearBranchTraceCache();
-}
-
-TEST_F(FaultTest, TraceIoSitesCoverReadAndWrite)
-{
-    std::stringstream buffer;
-    const BranchTrace trace = {{0x100, true}, {0x200, false}};
-
-    failpoint::registry().set("trace_io.write", "fail-after:0");
-    EXPECT_THROW(writeBranchTrace(buffer, trace), InjectedFault);
-    failpoint::registry().clear("trace_io.write");
-
-    buffer = std::stringstream();
-    writeBranchTrace(buffer, trace);
-    failpoint::registry().set("trace_io.read", "fail-after:0");
-    EXPECT_THROW(readBranchTrace(buffer), InjectedFault);
-    failpoint::registry().clear("trace_io.read");
-    EXPECT_EQ(readBranchTrace(buffer).size(), trace.size());
 }
 
 TEST_F(FaultTest, ParallelForSurfacesInjectedPoolFault)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests of the batch design pipeline: the thread-pool utilities, the
- * stage-oriented DesignFlow (equivalence with the legacy designFsm), and
- * the BatchDesigner guarantees — thread-count-invariant determinism,
+ * stage-oriented DesignFlow (equivalence with the runDesignRequest API),
+ * and the BatchDesigner guarantees — thread-count-invariant determinism,
  * memo-cache reuse of identical models, and per-item failure isolation.
  */
 
@@ -18,6 +18,7 @@
 #include "flow/batch.hh"
 #include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
+#include "fsmgen/profile.hh"
 #include "support/rng.hh"
 #include "support/thread_pool.hh"
 
@@ -174,22 +175,34 @@ TEST(ThreadPoolTest, LowestIndexWinsEvenWhenHigherIndexThrowsFirst)
     }
 }
 
-TEST(DesignFlowTest, MatchesLegacyDesignerOnPaperExample)
+TEST(DesignFlowTest, MatchesRunDesignRequestOnPaperExample)
 {
     FsmDesignOptions options;
     options.order = 2;
     options.patterns.dontCareMass = 0.0;
+    const DesignFlow flow(options);
 
-    const FsmDesignResult legacy = designFromTrace(paperTrace(), options);
-    const FlowResult flow = DesignFlow(options).runOnTrace(paperTrace());
+    auto expectSame = [](const FsmDesignResult &got,
+                         const FsmDesignResult &want) {
+        EXPECT_TRUE(got.fsm.identical(want.fsm));
+        EXPECT_TRUE(got.beforeReduction.identical(want.beforeReduction));
+        EXPECT_EQ(got.regexText, want.regexText);
+        EXPECT_EQ(got.statesSubset, want.statesSubset);
+        EXPECT_EQ(got.statesHopcroft, want.statesHopcroft);
+        EXPECT_EQ(got.statesFinal, want.statesFinal);
+    };
 
-    EXPECT_TRUE(flow.design.fsm.identical(legacy.fsm));
-    EXPECT_TRUE(
-        flow.design.beforeReduction.identical(legacy.beforeReduction));
-    EXPECT_EQ(flow.design.regexText, legacy.regexText);
-    EXPECT_EQ(flow.design.statesSubset, legacy.statesSubset);
-    EXPECT_EQ(flow.design.statesHopcroft, legacy.statesHopcroft);
-    EXPECT_EQ(flow.design.statesFinal, legacy.statesFinal);
+    DesignRequest outcomes;
+    outcomes.outcomes = paperTrace();
+    outcomes.options = options;
+    expectSame(flow.runOnTrace(paperTrace()).design,
+               runDesignRequest(outcomes).design);
+
+    DesignRequest model;
+    model.model = trainMarkovModel(paperTrace(), options.order);
+    model.options = options;
+    expectSame(flow.run(*model.model).design,
+               runDesignRequest(model).design);
 }
 
 TEST(DesignFlowTest, TraceRecordsEveryStage)
@@ -261,16 +274,19 @@ TEST(BatchDesignerTest, DeterministicAcrossThreadCounts)
     FsmDesignOptions options;
     options.order = 4;
 
-    // Serial reference through the legacy wrapper.
+    // Serial reference, one DesignFlow run per trace.
     std::vector<FsmDesignResult> reference;
-    for (const auto &trace : traces)
-        reference.push_back(designFromTrace(trace, options));
+    std::vector<MarkovModel> models;
+    for (const auto &trace : traces) {
+        reference.push_back(DesignFlow(options).runOnTrace(trace).design);
+        models.push_back(trainMarkovModel(trace, options.order));
+    }
 
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
         BatchOptions batch;
         batch.threads = threads;
         BatchDesigner designer(options, batch);
-        const auto results = designer.designTraces(traces);
+        const auto results = designer.designAll(models);
         ASSERT_EQ(results.size(), traces.size());
         for (size_t i = 0; i < results.size(); ++i) {
             ASSERT_TRUE(results[i].ok) << results[i].error;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
 #include "fsmgen/markov.hh"
 #include "fsmgen/patterns.hh"
@@ -162,7 +163,8 @@ TEST(DesignerTest, PaperWorkedExampleEndToEnd)
     FsmDesignOptions options;
     options.order = 2;
     options.patterns.dontCareMass = 0.0;
-    const FsmDesignResult result = designFromTrace(paperTrace(), options);
+    const FsmDesignResult result =
+        DesignFlow(options).runOnTrace(paperTrace()).design;
 
     // Section 4.4's minimized cover.
     EXPECT_EQ(result.cover.toString(), "x1 | 1x");
@@ -180,7 +182,7 @@ TEST(DesignerTest, FinalMachinePredictsPaperPatterns)
     FsmDesignOptions options;
     options.order = 2;
     options.patterns.dontCareMass = 0.0;
-    const Dfa fsm = designFromTrace(paperTrace(), options).fsm;
+    const Dfa fsm = DesignFlow(options).runOnTrace(paperTrace()).design.fsm;
 
     // From any state, pattern 01/10/11 ends predicting 1; 00 predicts 0.
     for (int start = 0; start < fsm.numStates(); ++start) {
@@ -200,7 +202,8 @@ TEST(DesignerTest, KeepStartupStatesOption)
     options.order = 2;
     options.patterns.dontCareMass = 0.0;
     options.keepStartupStates = true;
-    const FsmDesignResult result = designFromTrace(paperTrace(), options);
+    const FsmDesignResult result =
+        DesignFlow(options).runOnTrace(paperTrace()).design;
     EXPECT_EQ(result.fsm.numStates(), 5);
 }
 
@@ -209,7 +212,7 @@ TEST(DesignerTest, AllZeroTraceGivesConstantZero)
     FsmDesignOptions options;
     options.order = 2;
     const FsmDesignResult result =
-        designFromTrace(std::vector<int>(64, 0), options);
+        DesignFlow(options).runOnTrace(std::vector<int>(64, 0)).design;
     EXPECT_EQ(result.fsm.numStates(), 1);
     EXPECT_EQ(result.fsm.output(result.fsm.start()), 0);
     EXPECT_EQ(result.regexText, "(empty)");
@@ -220,7 +223,7 @@ TEST(DesignerTest, AllOneTraceGivesConstantOne)
     FsmDesignOptions options;
     options.order = 2;
     const FsmDesignResult result =
-        designFromTrace(std::vector<int>(64, 1), options);
+        DesignFlow(options).runOnTrace(std::vector<int>(64, 1)).design;
     EXPECT_EQ(result.fsm.numStates(), 1);
     EXPECT_EQ(result.fsm.output(result.fsm.start()), 1);
 }
@@ -232,7 +235,7 @@ TEST(DesignerTest, AlternatingTraceIsPerfectlyLearned)
         trace.push_back(i % 2);
     FsmDesignOptions options;
     options.order = 2;
-    const Dfa fsm = designFromTrace(trace, options).fsm;
+    const Dfa fsm = DesignFlow(options).runOnTrace(trace).design.fsm;
 
     // Simulate: predictions should be perfect once warmed up.
     PredictorFsm predictor(fsm);
@@ -256,7 +259,7 @@ TEST(DesignerTest, HigherOrderCapturesLongerPeriodicity)
         trace.push_back(i % 3 == 2 ? 0 : 1);
     FsmDesignOptions options;
     options.order = 3;
-    const Dfa fsm = designFromTrace(trace, options).fsm;
+    const Dfa fsm = DesignFlow(options).runOnTrace(trace).design.fsm;
 
     PredictorFsm predictor(fsm);
     int correct = 0, total = 0;
@@ -306,7 +309,7 @@ TEST(DesignerTest, Figure6MachineHasFourStates)
     FsmDesignOptions options;
     options.order = 2;
     options.patterns.dontCareMass = 0.0;
-    const FsmDesignResult result = designFsm(model, options);
+    const FsmDesignResult result = DesignFlow(options).run(model).design;
     EXPECT_EQ(result.cover.toString(), "1x");
     EXPECT_EQ(result.statesFinal, 4);
 
@@ -331,7 +334,7 @@ TEST(DesignerTest, Figure7MachineHasElevenStates)
     FsmDesignOptions options;
     options.order = 5;
     options.patterns.dontCareMass = 0.0;
-    const FsmDesignResult result = designFsm(model, options);
+    const FsmDesignResult result = DesignFlow(options).run(model).design;
     EXPECT_EQ(result.statesFinal, 11);
 
     // Any 5-edge walk matching either pattern ends on predict-1.
@@ -410,7 +413,8 @@ TEST_P(DesignerPropertyTest, PredictionsFollowTrainingBias)
     FsmDesignOptions options;
     options.order = order;
     options.patterns.dontCareMass = 0.0;
-    const FsmDesignResult result = designFromTrace(trace, options);
+    const FsmDesignResult result =
+        DesignFlow(options).runOnTrace(trace).design;
 
     MarkovModel model(order);
     model.train(trace);

@@ -373,20 +373,6 @@ TEST_F(DesignMemoTest, DesignMemoFailpointInjectsFault)
     EXPECT_NO_THROW(flow.run(model));
 }
 
-TEST_F(DesignMemoTest, MemoizeStagesOptionDisablesMemo)
-{
-    MarkovModel model(2);
-    model.train(paperTrace());
-    FsmDesignOptions options;
-    options.memoizeStages = false;
-    DesignFlow flow(options);
-    const FlowResult first = flow.run(model);
-    const FlowResult second = flow.run(model);
-    EXPECT_FALSE(second.tailFromMemo);
-    EXPECT_TRUE(second.design.fsm.identical(first.design.fsm));
-    EXPECT_EQ(designMemoStats().misses, 0u);
-}
-
 TEST_F(DesignMemoTest, CapacityCapDropsStores)
 {
     designMemoSetCapacity(0);

@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests of the Report interface and the JSON substrate: the text
- * renderers must match the legacy printFigN wrappers byte for byte, and
- * the JSON emitters must produce balanced, escaped, key-complete output
- * on hand-built figure data (no simulation needed).
+ * Tests of the Report interface and the JSON substrate: the JSON
+ * emitters must produce balanced, escaped, key-complete output on
+ * hand-built figure data (no simulation needed).
  */
 
 #include <gtest/gtest.h>
@@ -118,24 +117,6 @@ TEST(JsonWriterTest, NonFiniteNumbersBecomeNull)
     json.value(std::numeric_limits<double>::infinity());
     json.endArray();
     EXPECT_EQ(out.str(), "[null,null]");
-}
-
-TEST(ReportTest, TextMatchesLegacyPrinters)
-{
-    const Fig5Benchmark fig5 = tinyFig5();
-    std::ostringstream legacy5;
-    printFig5(legacy5, fig5);
-    EXPECT_EQ(Fig5Report(fig5).toText(), legacy5.str());
-
-    const Fig4Result fig4 = tinyFig4();
-    std::ostringstream legacy4;
-    printFig4(legacy4, fig4);
-    EXPECT_EQ(Fig4Report(fig4).toText(), legacy4.str());
-
-    const Fig2Benchmark fig2 = tinyFig2();
-    std::ostringstream legacy2;
-    printFig2(legacy2, fig2);
-    EXPECT_EQ(Fig2Report(fig2).toText(), legacy2.str());
 }
 
 TEST(ReportTest, Fig5JsonIsBalancedAndKeyComplete)

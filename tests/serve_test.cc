@@ -27,6 +27,7 @@
 #include "flow/design_memo.hh"
 #include "fsmgen/designer.hh"
 #include "fsmgen/profile.hh"
+#include "obs/metrics.hh"
 #include "serve/client.hh"
 #include "serve/frame.hh"
 #include "serve/net.hh"
@@ -353,6 +354,24 @@ TEST(ServeJsonTest, RequestParsingIsStrict)
             R"({"id": 1, "tenant": "t", "class": "interactive",)"
             R"( "outcomes": [0, 2]})"),
         std::invalid_argument);
+
+    // Retired design knobs are unknown fields, not silently ignored.
+    const std::string optionsKey = "\"options\":{";
+    const size_t options = json.find(optionsKey);
+    ASSERT_NE(options, std::string::npos);
+    for (const std::string knob : {"flatProfiling", "memoizeStages"}) {
+        std::string retired = json;
+        retired.insert(options + optionsKey.size(),
+                       "\"" + knob + "\": false, ");
+        try {
+            designRequestFromJson(retired);
+            ADD_FAILURE() << knob << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("unknown field '" + knob),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(ServeJsonTest, ResponseRoundTrip)
@@ -453,20 +472,34 @@ TEST(AdmissionTest, RefusesFullQueueDrainingAndInvalidRequests)
 // ---------------------------------------------------------------------------
 // The unified API and the batch request engine
 
-TEST(DesignApiTest, CompatWrappersMatchRunDesignRequest)
+TEST(DesignApiTest, DesignFlowMatchesRunDesignRequest)
 {
-    const std::vector<int> trace = paperTrace();
+    const std::vector<int> trace = syntheticTrace(7);
     FsmDesignOptions options;
-    options.order = 2;
+    options.order = 3;
+    const DesignFlow flow(options);
 
-    DesignRequest request;
-    request.outcomes = trace;
-    request.options = options;
-    const std::string viaApi =
-        dfaToText(runDesignRequest(request).design.fsm);
-    EXPECT_EQ(dfaToText(designFromTrace(trace, options).fsm), viaApi);
-    EXPECT_EQ(dfaToText(designFsm(trainMarkovModel(trace, 2), options).fsm),
-              viaApi);
+    // Outcomes source: the API trains and runs exactly as runOnTrace.
+    DesignRequest outcomes;
+    outcomes.outcomes = trace;
+    outcomes.options = options;
+    const FlowResult fromOutcomes = runDesignRequest(outcomes);
+    const FlowResult direct = flow.runOnTrace(trace);
+    EXPECT_EQ(dfaToText(fromOutcomes.design.fsm),
+              dfaToText(direct.design.fsm));
+    EXPECT_EQ(dfaToText(fromOutcomes.design.beforeReduction),
+              dfaToText(direct.design.beforeReduction));
+    EXPECT_EQ(fromOutcomes.design.regexText, direct.design.regexText);
+
+    // Model source: the API runs exactly as run.
+    DesignRequest model;
+    model.model = trainMarkovModel(trace, 3);
+    model.options = options;
+    const FlowResult fromModel = runDesignRequest(model);
+    EXPECT_EQ(dfaToText(fromModel.design.fsm),
+              dfaToText(flow.run(*model.model).design.fsm));
+    EXPECT_EQ(dfaToText(fromModel.design.fsm),
+              dfaToText(direct.design.fsm));
 }
 
 TEST(DesignApiTest, RequestsEngineMixedSourcesDedupAndIsolation)
@@ -949,6 +982,57 @@ TEST_F(ServerTest, RequestDurationHistogramInScrape)
         metrics.find("autofsm_serve_request_duration_seconds_bucket"
                      "{class=\"bulk\",outcome=\"rejected\""),
         std::string::npos);
+}
+
+#ifndef AUTOFSM_NO_TELEMETRY
+/** Observations so far in autofsm_flow_stage_millis{stage="markov"}. */
+uint64_t
+markovStageCount()
+{
+    const obs::MetricsSnapshot snap = obs::globalMetrics().snapshot();
+    for (const obs::MetricValue &metric : snap.metrics) {
+        if (metric.name == "autofsm_flow_stage_millis" &&
+            metric.labels == obs::Labels{{"stage", "markov"}})
+            return metric.histogram.count;
+    }
+    return 0;
+}
+#endif
+
+TEST_F(ServerTest, OutcomeBearingRequestsRecordMarkovStage)
+{
+#ifdef AUTOFSM_NO_TELEMETRY
+    GTEST_SKIP() << "built with AUTOFSM_NO_TELEMETRY";
+#else
+    serve::installWorkloadTraceResolver();
+    startServer();
+    serve::Client client = connect();
+
+    std::vector<DesignRequest> requests;
+    requests.push_back(outcomesRequest(61, syntheticTrace(5)));
+    requests.push_back(outcomesRequest(62, syntheticTrace(6)));
+    DesignRequest traceRef;
+    traceRef.id = 63;
+    traceRef.traceRef = "compress";
+    traceRef.traceBranches = 4000;
+    traceRef.options.order = 2;
+    requests.push_back(traceRef);
+    // A pre-trained model runs no markov stage.
+    DesignRequest model;
+    model.id = 64;
+    model.model = trainMarkovModel(paperTrace(), 2);
+    model.options.order = 2;
+    requests.push_back(model);
+    constexpr uint64_t kOutcomeBearing = 3;
+
+    const uint64_t before = markovStageCount();
+    for (const DesignRequest &request : requests) {
+        const DesignResponse response = client.design(request);
+        EXPECT_TRUE(response.ok) << response.error.detail;
+    }
+    EXPECT_EQ(markovStageCount() - before, kOutcomeBearing);
+    setTraceRefResolver(nullptr);
+#endif
 }
 
 TEST_F(ServerTest, DispatchFaultFailsOneJobStructurally)

@@ -197,7 +197,7 @@ TEST(ReportTest, PrintersEmitSeries)
     options.training.maxCustomBranches = 2;
     const Fig5Benchmark fig5 = runFigure5("g721", options);
     std::ostringstream out5;
-    printFig5(out5, fig5);
+    Fig5Report(fig5).renderText(out5);
     EXPECT_NE(out5.str().find("xscale"), std::string::npos);
     EXPECT_NE(out5.str().find("custom-diff"), std::string::npos);
     EXPECT_NE(out5.str().find("g721"), std::string::npos);
@@ -206,7 +206,7 @@ TEST(ReportTest, PrintersEmitSeries)
     fig4_options.branchesPerRun = 10000;
     fig4_options.fsmsPerBenchmark = 1;
     std::ostringstream out4;
-    printFig4(out4, runFigure4(fig4_options));
+    Fig4Report(runFigure4(fig4_options)).renderText(out4);
     EXPECT_NE(out4.str().find("linear fit"), std::string::npos);
 
     Fig2Options fig2_options;
@@ -217,7 +217,7 @@ TEST(ReportTest, PrintersEmitSeries)
     fig2_options.sudDecrement = {1};
     fig2_options.sudThresholdFrac = {0.5};
     std::ostringstream out2;
-    printFig2(out2, runFigure2("perl", fig2_options));
+    Fig2Report(runFigure2("perl", fig2_options)).renderText(out2);
     EXPECT_NE(out2.str().find("Figure 2"), std::string::npos);
     EXPECT_NE(out2.str().find("custom w/ hist=2"), std::string::npos);
     EXPECT_NE(out2.str().find("accuracy"), std::string::npos);

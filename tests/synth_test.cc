@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
 #include "support/rng.hh"
 #include "synth/area.hh"
@@ -24,7 +25,7 @@ paperFsm()
     FsmDesignOptions options;
     options.order = 2;
     options.patterns.dontCareMass = 0.0;
-    return designFromTrace(trace, options).fsm;
+    return DesignFlow(options).runOnTrace(trace).design.fsm;
 }
 
 TEST(VhdlTest, ContainsEntityAndPorts)

@@ -12,6 +12,7 @@
 #include <map>
 #include <sstream>
 
+#include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
 #include "support/rng.hh"
 #include "synth/verilog.hh"
@@ -107,7 +108,7 @@ TEST(VhdlSemanticsTest, PaperMachineCosimulates)
     FsmDesignOptions options;
     options.order = 2;
     options.patterns.dontCareMass = 0.0;
-    cosimulate(designFromTrace(trace, options).fsm);
+    cosimulate(DesignFlow(options).runOnTrace(trace).design.fsm);
 }
 
 TEST(VhdlSemanticsTest, ConstantMachineCosimulates)
@@ -134,7 +135,7 @@ TEST_P(VhdlSemanticsPropertyTest, GeneratedMachinesCosimulate)
     }
     FsmDesignOptions options;
     options.order = 2 + GetParam() % 4;
-    cosimulate(designFromTrace(trace, options).fsm);
+    cosimulate(DesignFlow(options).runOnTrace(trace).design.fsm);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTraces, VhdlSemanticsPropertyTest,
@@ -210,7 +211,7 @@ TEST(VerilogSemanticsTest, PaperMachineCosimulates)
     FsmDesignOptions options;
     options.order = 2;
     options.patterns.dontCareMass = 0.0;
-    cosimulateVerilog(designFromTrace(trace, options).fsm);
+    cosimulateVerilog(DesignFlow(options).runOnTrace(trace).design.fsm);
 }
 
 TEST(VerilogSemanticsTest, ModuleStructure)
@@ -241,7 +242,7 @@ TEST_P(VerilogSemanticsPropertyTest, GeneratedMachinesCosimulate)
     }
     FsmDesignOptions options;
     options.order = 2 + GetParam() % 4;
-    cosimulateVerilog(designFromTrace(trace, options).fsm);
+    cosimulateVerilog(DesignFlow(options).runOnTrace(trace).design.fsm);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTraces, VerilogSemanticsPropertyTest,

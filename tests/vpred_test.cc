@@ -12,6 +12,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
 #include "obs/metrics.hh"
 #include "sim/figure2.hh"
@@ -208,7 +209,7 @@ TEST(ConfSimTest, FsmLearnsCyclePatternConfidence)
     FsmDesignOptions design;
     design.order = 4;
     design.patterns.threshold = 0.9;
-    const FsmDesignResult designed = designFsm(model, design);
+    const FsmDesignResult designed = DesignFlow(design).run(model).design;
 
     FsmConfidence fsm(2048, designed.fsm);
     const ConfidenceResult fsm_r =
