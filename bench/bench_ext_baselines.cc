@@ -22,6 +22,7 @@
 #include "bpred/simulate.hh"
 #include "bpred/trainer.hh"
 #include "sim/nested_sweep.hh"
+#include "support/sud_counter.hh"
 #include "workloads/trace_cache.hh"
 
 #include "bench_common.hh"
@@ -129,8 +130,7 @@ ppmSection(size_t branches)
         const BranchTrace &test = *test_trace;
 
         // The XScale column is a single-config BTB sweep point; the
-        // nested engine services it bit-identically to the virtual
-        // XScaleBtb walk at kernel speed.
+        // nested engine runs it through XScaleBtb's fused step.
         NestedSweepRequest btb_request;
         btb_request.btb.push_back(BtbConfig{});
         const double base =

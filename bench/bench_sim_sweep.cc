@@ -1,12 +1,16 @@
 /**
  * @file
- * Benchmarks the single-pass sweep engine (sim/sweep.hh) against a
- * faithful replica of the seed Figure-5 evaluation: per-point virtual
+ * Benchmarks the single-pass sweep engine (sim/sweep.hh) against the
+ * seed's evaluation shape for Figure 5: per-point virtual
  * simulateBranchPredictor sweeps and the AoS all-machines-per-record
- * custom curve, traces rebuilt per run as the seed did. Both paths
- * share one untimed training pass; the engine path draws its traces
- * from the process-wide cache. Results must be bit-identical or the
- * bench aborts.
+ * custom curve, traces rebuilt per run as the seed did. Both paths use
+ * the same packed predictor classes; the serial side reaches them
+ * through virtual predict/update over the AoS trace, so the speedup
+ * measures the engine's loop structure (packed traces, fused steps,
+ * nested sweep, transposed replay), not a change of predictor layout.
+ * Both paths share one untimed training pass; the engine path draws
+ * its traces from the process-wide cache. Results must be
+ * bit-identical or the bench aborts.
  *
  * Usage: bench_sim_sweep [branches_per_run] [json_out]
  *   branches_per_run  dynamic branches per trace (default 400000)
@@ -76,7 +80,7 @@ seedCustomCurve(const std::vector<TrainedBranch> &trained,
         for (auto &machine : machines)
             machine.update(record.taken ? 1 : 0);
     }
-    publishBtbMetrics(btb);
+    publishBtbMetrics(btb.name(), btb.lookups(), btb.hits());
 
     const double total =
         static_cast<double>(trace.size() ? trace.size() : 1);
@@ -118,7 +122,7 @@ seedEvaluate(const std::string &benchmark,
     {
         XScaleBtb btb(options.training.baseline, costs);
         const BpredSimResult r = simulateBranchPredictor(btb, test);
-        publishBtbMetrics(btb);
+        publishBtbMetrics(btb.name(), btb.lookups(), btb.hits());
         result.xscale = {btb.area(), r.missRate(), btb.name()};
     }
 

@@ -45,7 +45,7 @@ using namespace autofsm;
 namespace
 {
 
-/** One sweep point's oracle tallies from the per-config kernel. */
+/** One sweep point's oracle tallies from a per-config kernel run. */
 struct OraclePoint
 {
     std::string name;
@@ -80,21 +80,21 @@ runOracle(const NestedSweepRequest &request, const PackedTrace &trace,
 {
     std::vector<OraclePoint> oracle;
     for (const auto &config : request.gshare) {
-        GshareKernel kernel(config, costs);
-        oracle.push_back(
-            {kernel.name(), sweepKernelRaw(kernel, trace).mispredicts});
+        Gshare predictor(config, costs);
+        oracle.push_back({predictor.name(),
+                          sweepKernelRaw(predictor, trace).mispredicts});
     }
     for (const auto &config : request.lgc) {
-        LgcKernel kernel(config, costs);
-        oracle.push_back(
-            {kernel.name(), sweepKernelRaw(kernel, trace).mispredicts});
+        LocalGlobalChooser predictor(config, costs);
+        oracle.push_back({predictor.name(),
+                          sweepKernelRaw(predictor, trace).mispredicts});
     }
     for (const auto &config : request.btb) {
-        BtbKernel kernel(config, costs);
+        XScaleBtb predictor(config, costs);
         const uint64_t mispredicts =
-            sweepKernelRaw(kernel, trace).mispredicts;
-        oracle.push_back({kernel.name(), mispredicts, kernel.lookups(),
-                          kernel.hits()});
+            sweepKernelRaw(predictor, trace).mispredicts;
+        oracle.push_back({predictor.name(), mispredicts,
+                          predictor.lookups(), predictor.hits()});
     }
     return oracle;
 }
@@ -187,12 +187,12 @@ main(int argc, char **argv)
     timed_request.btb.clear();
 
     const double baseline_ms = bench::medianRunMillis(args, [&] {
-        std::vector<GshareKernel> gshare;
+        std::vector<Gshare> gshare;
         gshare.reserve(timed_request.gshare.size());
         for (const auto &config : timed_request.gshare)
             gshare.emplace_back(config, costs);
         sweepKernelBatch(gshare, *trace);
-        std::vector<LgcKernel> lgc;
+        std::vector<LocalGlobalChooser> lgc;
         lgc.reserve(timed_request.lgc.size());
         for (const auto &config : timed_request.lgc)
             lgc.emplace_back(config, costs);

@@ -10,25 +10,13 @@ namespace autofsm
 
 XScaleBtb::XScaleBtb(const BtbConfig &config, const AreaCosts &costs)
     : config_(config), costs_(costs),
-      entries_(static_cast<size_t>(config.entries))
+      entries_(static_cast<size_t>(config.entries)),
+      indexMask_(static_cast<uint64_t>(config.entries - 1)),
+      tagShift_(2 + ceilLog2(static_cast<uint32_t>(config.entries))),
+      tagMask_(lowMask(config.tagBits))
 {
     assert(config.entries > 0 &&
            (config.entries & (config.entries - 1)) == 0);
-}
-
-size_t
-XScaleBtb::indexOf(uint64_t pc) const
-{
-    // Branches are 4-byte aligned in the synthetic traces.
-    return static_cast<size_t>((pc >> 2) &
-                               static_cast<uint64_t>(config_.entries - 1));
-}
-
-uint64_t
-XScaleBtb::tagOf(uint64_t pc) const
-{
-    const int index_bits = ceilLog2(static_cast<uint32_t>(config_.entries));
-    return (pc >> (2 + index_bits)) & lowMask(config_.tagBits);
 }
 
 bool
@@ -42,26 +30,25 @@ bool
 XScaleBtb::predict(uint64_t pc) const
 {
     lookups_.fetch_add(1, std::memory_order_relaxed);
-    const Entry &entry = entries_[indexOf(pc)];
-    if (!entry.valid || entry.tag != tagOf(pc))
+    if (!hit(pc))
         return false; // BTB miss: predict not-taken
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return entry.counter.predict();
+    return entries_[indexOf(pc)].counter >= 2;
 }
 
 void
 XScaleBtb::update(uint64_t pc, bool taken)
 {
     Entry &entry = entries_[indexOf(pc)];
-    if (entry.valid && entry.tag == tagOf(pc)) {
-        entry.counter.update(taken);
+    if (hit(pc)) {
+        entry.counter = bumpedTwoBit(entry.counter, taken);
         return;
     }
     // Allocate on first contact (or conflict): bias towards the
     // observed direction, starting from the weak state.
     entry.valid = true;
     entry.tag = tagOf(pc);
-    entry.counter = SudCounter(SudConfig::twoBit(), taken ? 2 : 1);
+    entry.counter = taken ? 2 : 1;
 }
 
 double
@@ -80,12 +67,6 @@ std::string
 XScaleBtb::name() const
 {
     return "xscale-btb" + std::to_string(config_.entries);
-}
-
-void
-publishBtbMetrics(const XScaleBtb &btb)
-{
-    publishBtbMetrics(btb.name(), btb.lookups(), btb.hits());
 }
 
 void

@@ -2,39 +2,31 @@
 
 #include <cassert>
 
-#include "support/bits.hh"
-
 namespace autofsm
 {
 
 Gshare::Gshare(const GshareConfig &config, const AreaCosts &costs)
-    : config_(config), costs_(costs)
+    : config_(config), costs_(costs),
+      table_(size_t{1} << config.log2Entries, 1),
+      indexMask_((uint64_t{1} << config.log2Entries) - 1),
+      historyMask_((uint64_t{1} << config.historyBits) - 1)
 {
     assert(config.log2Entries >= 1 && config.log2Entries <= 24);
     assert(config.historyBits >= 0 &&
            config.historyBits <= config.log2Entries);
-    table_.assign(1ULL << config.log2Entries,
-                  SudCounter(SudConfig::twoBit(), 1));
-}
-
-size_t
-Gshare::indexOf(uint64_t pc) const
-{
-    const uint64_t mask = (1ULL << config_.log2Entries) - 1;
-    const uint64_t hist = history_ & ((1ULL << config_.historyBits) - 1);
-    return static_cast<size_t>(((pc >> 2) ^ hist) & mask);
 }
 
 bool
 Gshare::predict(uint64_t pc) const
 {
-    return table_[indexOf(pc)].predict();
+    return table_[indexOf(pc)] >= 2;
 }
 
 void
 Gshare::update(uint64_t pc, bool taken)
 {
-    table_[indexOf(pc)].update(taken);
+    uint8_t &counter = table_[indexOf(pc)];
+    counter = bumpedTwoBit(counter, taken);
     history_ = (history_ << 1) | (taken ? 1 : 0);
 }
 

@@ -7,10 +7,12 @@
 #ifndef AUTOFSM_BPRED_GSHARE_HH
 #define AUTOFSM_BPRED_GSHARE_HH
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bpred/predictor.hh"
-#include "support/sud_counter.hh"
+#include "bpred/two_bit.hh"
 #include "synth/area.hh"
 
 namespace autofsm
@@ -30,7 +32,7 @@ struct GshareConfig
     double btbBits = 128.0 * (23 + 32);
 };
 
-/** The gshare predictor. */
+/** The gshare predictor: one byte per 2-bit counter. */
 class Gshare final : public BranchPredictor
 {
   public:
@@ -42,12 +44,35 @@ class Gshare final : public BranchPredictor
     double area() const override;
     std::string name() const override;
 
+    /**
+     * Fused predict-then-update: one shared counter load, stepped
+     * through detail::kCounterStep; returns whether the prediction
+     * was wrong.
+     */
+    bool
+    step(uint64_t pc, bool taken)
+    {
+        uint8_t &counter = table_[indexOf(pc)];
+        const uint8_t stepped = detail::kCounterStep
+            [(static_cast<size_t>(taken) << 2) | counter];
+        counter = stepped & 3;
+        history_ = (history_ << 1) | (taken ? 1 : 0);
+        return ((stepped & 0x10) != 0) != taken;
+    }
+
   private:
-    size_t indexOf(uint64_t pc) const;
+    size_t
+    indexOf(uint64_t pc) const
+    {
+        return static_cast<size_t>(((pc >> 2) ^ (history_ & historyMask_)) &
+                                   indexMask_);
+    }
 
     GshareConfig config_;
     AreaCosts costs_;
-    std::vector<SudCounter> table_;
+    std::vector<uint8_t> table_;
+    uint64_t indexMask_;
+    uint64_t historyMask_;
     uint64_t history_ = 0;
 };
 

@@ -1,81 +1,46 @@
 #include "bpred/local_global.hh"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace autofsm
 {
 
 LocalGlobalChooser::LocalGlobalChooser(const LgcConfig &config,
                                        const AreaCosts &costs)
-    : config_(config), costs_(costs)
+    : config_(config), costs_(costs),
+      mask_((uint64_t{1} << config.log2Entries) - 1)
 {
-    assert(config.log2Entries >= 1 && config.log2Entries <= 20);
-    const size_t n = 1ULL << config.log2Entries;
+    assert(config.log2Entries >= 1);
+    if (config.log2Entries > 16)
+        throw std::length_error(
+            "LocalGlobalChooser supports log2Entries <= 16");
+    const size_t n = size_t{1} << config.log2Entries;
     localHistory_.assign(n, 0);
-    localTable_.assign(n, SudCounter(SudConfig::twoBit(), 1));
-    globalTable_.assign(n, SudCounter(SudConfig::twoBit(), 1));
-    chooser_.assign(n, SudCounter(SudConfig::twoBit(), 1));
-}
-
-size_t
-LocalGlobalChooser::pcIndex(uint64_t pc) const
-{
-    return static_cast<size_t>((pc >> 2) &
-                               ((1ULL << config_.log2Entries) - 1));
-}
-
-size_t
-LocalGlobalChooser::globalIndex() const
-{
-    return static_cast<size_t>(history_ &
-                               ((1ULL << config_.log2Entries) - 1));
-}
-
-bool
-LocalGlobalChooser::localPredict(uint64_t pc) const
-{
-    const uint64_t hist = localHistory_[pcIndex(pc)] &
-        ((1ULL << config_.log2Entries) - 1);
-    return localTable_[static_cast<size_t>(hist)].predict();
-}
-
-bool
-LocalGlobalChooser::globalPredict() const
-{
-    return globalTable_[globalIndex()].predict();
+    localTable_.assign((n + 3) / 4, 0x55);
+    globalChooser_.assign(n, 0x05);
 }
 
 bool
 LocalGlobalChooser::predict(uint64_t pc) const
 {
-    return chooser_[globalIndex()].predict() ? globalPredict()
-                                             : localPredict(pc);
+    const uint8_t gc = globalChooser_[globalIndex()];
+    if (((gc >> 2) & 3) >= 2)
+        return (gc & 3) >= 2;
+    const auto hist = static_cast<size_t>(localHistory_[pcIndex(pc)]);
+    return ((localTable_[hist >> 2] >> ((hist & 3) * 2)) & 3) >= 2;
 }
 
 void
 LocalGlobalChooser::update(uint64_t pc, bool taken)
 {
-    const bool local_pred = localPredict(pc);
-    const bool global_pred = globalPredict();
-
-    // Chooser trains only when the components disagree.
-    if (local_pred != global_pred)
-        chooser_[globalIndex()].update(global_pred == taken);
-
-    const uint64_t mask = (1ULL << config_.log2Entries) - 1;
-    const uint64_t local_hist = localHistory_[pcIndex(pc)] & mask;
-    localTable_[static_cast<size_t>(local_hist)].update(taken);
-    globalTable_[globalIndex()].update(taken);
-
-    localHistory_[pcIndex(pc)] =
-        ((local_hist << 1) | (taken ? 1 : 0)) & mask;
-    history_ = (history_ << 1) | (taken ? 1 : 0);
+    step(pc, taken);
 }
 
 double
 LocalGlobalChooser::area() const
 {
-    const double n = static_cast<double>(1ULL << config_.log2Entries);
+    const double n = static_cast<double>(uint64_t{1} << config_.log2Entries);
     // LHT (history bits per entry) + three 2-bit counter tables.
     const double bits =
         n * config_.log2Entries + 3.0 * 2.0 * n + config_.btbBits;

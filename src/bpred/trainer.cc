@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "flow/batch.hh"
-#include "sim/sweep.hh"
 #include "support/history.hh"
 
 namespace autofsm
@@ -16,11 +15,9 @@ std::vector<std::pair<uint64_t, uint64_t>>
 profileBaselineMisses(const BranchTrace &trace, const BtbConfig &baseline,
                       BaselineBtbProfile *profile)
 {
-    // BtbKernel is the bit-exact kernel replica of XScaleBtb (packed
-    // entries, fused predict+update, no per-lookup atomics); sweep_test
-    // pins the identity, so the profile is unchanged and the pass runs
-    // at kernel speed.
-    BtbKernel btb(baseline);
+    // The fused step makes the same decisions and tallies as
+    // predict+update over one entry load.
+    XScaleBtb btb(baseline);
     std::unordered_map<uint64_t, uint64_t> misses;
     uint64_t total = 0;
     for (const auto &record : trace) {

@@ -37,7 +37,7 @@ lowMask64(int n)
 }
 
 /** History bits that actually reach the index (the index mask drops
- *  the rest), matching GshareKernel::indexOf. */
+ *  the rest), matching Gshare's index. */
 int
 effectiveHistoryBits(const GshareConfig &config)
 {
@@ -51,65 +51,9 @@ isPowerOfTwo(int value)
 }
 
 /**
- * Branchless kernel-state replica of LgcKernel::step: identical loads,
- * stores and decision order, but the local pattern counter bumps
- * through detail::kCounterStep instead of compare-branches. LGC is the
- * one family the nested engine cannot transpose (pattern counters are
- * indexed by history *values* shared across pc classes), so its win is
- * removing the data-dependent branches that dominate the batch path.
- */
-struct NestedLgcState
-{
-    std::vector<uint16_t> localHistory;
-    std::vector<uint8_t> localTable;
-    std::vector<uint8_t> globalChooser;
-    uint64_t mask;
-    uint64_t history = 0;
-    uint64_t mispredicts = 0;
-
-    explicit NestedLgcState(int log2_entries)
-        : localHistory(size_t{1} << log2_entries, 0),
-          localTable(((size_t{1} << log2_entries) + 3) / 4, 0x55),
-          globalChooser(size_t{1} << log2_entries, 0x05),
-          mask((uint64_t{1} << log2_entries) - 1)
-    {}
-
-    inline void
-    step(uint64_t pc, size_t taken)
-    {
-        const auto pc_idx = static_cast<size_t>((pc >> 2) & mask);
-        const auto global_idx = static_cast<size_t>(history & mask);
-        const uint64_t local_hist = localHistory[pc_idx] & mask;
-        const auto local_idx = static_cast<size_t>(local_hist);
-
-        uint8_t &local_byte = localTable[local_idx >> 2];
-        const unsigned local_shift = (local_idx & 3) * 2;
-        const uint8_t local_counter = (local_byte >> local_shift) & 3;
-        const size_t local_pred = local_counter >> 1;
-
-        const uint8_t gc_byte = globalChooser[global_idx];
-        const uint8_t stepped = detail::kLgcGcStep
-            [(static_cast<size_t>(gc_byte) << 2) | (taken << 1) |
-             local_pred];
-        globalChooser[global_idx] = stepped & 0xf;
-
-        const uint8_t bumped =
-            detail::kCounterStep[(taken << 2) | local_counter] & 3;
-        local_byte = static_cast<uint8_t>(
-            (local_byte & ~(3u << local_shift)) |
-            (static_cast<unsigned>(bumped) << local_shift));
-
-        localHistory[pc_idx] =
-            static_cast<uint16_t>(((local_hist << 1) | taken) & mask);
-        history = (history << 1) | taken;
-        mispredicts += ((stepped >> 4) & 1) ^ taken;
-    }
-};
-
-/**
  * One residue class of the gshare counter stage, scalar: every config's
  * counter is the shared index masked into its own byte plane, stepped
- * through detail::kCounterStep exactly like GshareKernel::step.
+ * through detail::kCounterStep exactly like Gshare::step.
  */
 void
 runGshareClassScalar(const uint32_t *payloads, size_t count,
@@ -261,29 +205,29 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
     const size_t btb_k = request.btb.size();
     out.stats.pointsPerPass = gshare_k + lgc_k + btb_k;
 
-    // Names, areas and geometry validation come from transient kernel
-    // replicas, so labels cannot drift from the per-config path and
-    // LgcKernel's length_error for unsupported geometries is inherited
-    // before any work starts.
+    // Names, areas and geometry validation come from transient
+    // predictor instances, so labels cannot drift from the per-config
+    // path and LocalGlobalChooser's length_error for unsupported
+    // geometries is inherited before any work starts.
     out.gshare.resize(gshare_k);
     for (size_t j = 0; j < gshare_k; ++j) {
-        const GshareKernel kernel(request.gshare[j], costs);
-        out.gshare[j].name = kernel.name();
-        out.gshare[j].area = kernel.area();
+        const Gshare predictor(request.gshare[j], costs);
+        out.gshare[j].name = predictor.name();
+        out.gshare[j].area = predictor.area();
         out.gshare[j].result.branches = n;
     }
     out.lgc.resize(lgc_k);
     for (size_t j = 0; j < lgc_k; ++j) {
-        const LgcKernel kernel(request.lgc[j], costs);
-        out.lgc[j].name = kernel.name();
-        out.lgc[j].area = kernel.area();
+        const LocalGlobalChooser predictor(request.lgc[j], costs);
+        out.lgc[j].name = predictor.name();
+        out.lgc[j].area = predictor.area();
         out.lgc[j].result.branches = n;
     }
     out.btb.resize(btb_k);
     for (size_t j = 0; j < btb_k; ++j) {
-        const BtbKernel kernel(request.btb[j], costs);
-        out.btb[j].name = kernel.name();
-        out.btb[j].area = kernel.area();
+        const XScaleBtb predictor(request.btb[j], costs);
+        out.btb[j].name = predictor.name();
+        out.btb[j].area = predictor.area();
         out.btb[j].result.branches = n;
     }
 
@@ -341,12 +285,12 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
     if (gshare_k > 0 && !gshare_nested) {
         // Non-nesting size sweep: the PR 3 batch path is already the
         // right shape for it (one pass, per-config indices).
-        std::vector<GshareKernel> kernels;
-        kernels.reserve(gshare_k);
+        std::vector<Gshare> predictors;
+        predictors.reserve(gshare_k);
         for (const GshareConfig &config : request.gshare)
-            kernels.emplace_back(config, costs);
+            predictors.emplace_back(config, costs);
         const std::vector<BpredSimResult> results =
-            sweepKernelBatch(kernels, trace);
+            sweepKernelBatch(predictors, trace);
         for (size_t j = 0; j < gshare_k; ++j)
             out.gshare[j].result = results[j];
     }
@@ -577,13 +521,13 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
         if (n == 0)
             break;
         tasks.push_back([&, j] {
-            NestedLgcState state(request.lgc[j].log2Entries);
+            LocalGlobalChooser lgc(request.lgc[j], costs);
+            uint64_t mispredicts = 0;
             for (size_t i = 0; i < n; ++i) {
-                const size_t taken =
-                    (words[i >> 6] >> (i & 63)) & 1ULL;
-                state.step(pcs[i], taken);
+                const bool taken = (words[i >> 6] >> (i & 63)) & 1ULL;
+                mispredicts += static_cast<uint64_t>(lgc.step(pcs[i], taken));
             }
-            lgc_mis[j] = state.mispredicts;
+            lgc_mis[j] = mispredicts;
         });
     }
     if (do_gshare) {
@@ -619,7 +563,7 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
         for (size_t c = 0; c < btb_shards; ++c) {
             tasks.push_back([&, c] {
                 for (size_t j = 0; j < btb_k; ++j) {
-                    BtbKernel kernel(request.btb[j], costs);
+                    XScaleBtb btb(request.btb[j], costs);
                     uint64_t mispredicts = 0;
                     if (partition_btb) {
                         const uint32_t *order =
@@ -631,22 +575,14 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
                             const bool taken =
                                 (words[i >> 6] >> (i & 63)) & 1ULL;
                             mispredicts += static_cast<uint64_t>(
-                                kernel.step(pcs[i], taken));
+                                btb.step(pcs[i], taken));
                         }
                     } else {
-                        for (size_t i = 0; i < n; ++i) {
-                            const bool taken =
-                                (words[i >> 6] >> (i & 63)) & 1ULL;
-                            if (i + detail::kPrefetchDistance < n)
-                                kernel.prefetch(
-                                    pcs[i + detail::kPrefetchDistance]);
-                            mispredicts += static_cast<uint64_t>(
-                                kernel.step(pcs[i], taken));
-                        }
+                        mispredicts = sweepKernelRaw(btb, trace).mispredicts;
                     }
                     b_mis[c * btb_k + j] = mispredicts;
-                    b_lookups[c * btb_k + j] = kernel.lookups();
-                    b_hits[c * btb_k + j] = kernel.hits();
+                    b_lookups[c * btb_k + j] = btb.lookups();
+                    b_hits[c * btb_k + j] = btb.hits();
                 }
             });
         }

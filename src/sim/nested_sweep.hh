@@ -41,14 +41,12 @@
  *  - **Branchless LGC.** The local/global chooser's local-history
  *    coupling defeats both index nesting and cell sharding (pattern
  *    counters are indexed by history *values* shared across pc
- *    classes), so LGC points run one per task — but on a branchless
- *    replica of LgcKernel::step (saturating bumps via
- *    detail::kCounterStep instead of compare-branches), which removes
- *    the data-dependent branch mispredicts that dominated the batch
- *    path's LGC cost.
+ *    classes), so LGC points run one per task on
+ *    LocalGlobalChooser::step, whose table-driven updates have no
+ *    data-dependent branches.
  *
- * Every point's decisions, tallies, name and area are bit-exact
- * replicas of the per-config sweepKernel path (sweep_test and
+ * Every point's decisions, tallies, name and area match a per-config
+ * sweepKernelRaw run of the predictor class (sweep_test and
  * bench_sweep_nested enforce it across shard counts, thread counts,
  * and the scalar/AVX2 kernels).
  */
@@ -98,13 +96,13 @@ struct NestedSweepOptions
     ThreadPool *pool = nullptr;
 };
 
-/** One evaluated sweep point (same name/area as the kernel replica). */
+/** One evaluated sweep point (same name/area as the predictor class). */
 struct NestedSweepPoint
 {
     std::string name;
     double area = 0.0;
     BpredSimResult result;
-    /** BTB points only: the lookup/hit tallies BtbKernel keeps. */
+    /** BTB points only: the lookup/hit tallies XScaleBtb keeps. */
     uint64_t lookups = 0;
     uint64_t hits = 0;
 };
@@ -153,14 +151,15 @@ bool gshareConfigsNest(const std::vector<GshareConfig> &configs);
 
 /**
  * Evaluate every requested sweep point over @p trace in one engine
- * pass. Publishes the same per-run telemetry as the per-config
- * sweepKernel path (publishBpredRun per point, publishBtbMetrics per
- * BTB point) plus the nested-engine sweep-point timings.
+ * pass. Publishes per-run telemetry for every point (publishBpredRun,
+ * plus publishBtbMetrics per BTB point) and the nested-engine
+ * sweep-point timing.
  *
- * Results are bit-identical to per-config sweepKernel runs for every
+ * Results are bit-identical to per-config sweepKernelRaw runs for every
  * (threads, shards, allowSimd) combination.
  *
- * @throws std::length_error like LgcKernel for log2Entries > 16.
+ * @throws std::length_error like LocalGlobalChooser for LGC
+ * log2Entries > 16.
  */
 NestedSweepResult nestedSweep(const NestedSweepRequest &request,
                               const PackedTrace &trace,

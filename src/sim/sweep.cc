@@ -11,30 +11,19 @@ namespace
 {
 
 constexpr const char *kSweepPointHelp =
-    "Kernel time of one sweep point (one predictor replay, one batched "
-    "replay, or one fused nested-index pass), by engine.";
+    "Kernel time of one sweep point (one batched replay or one fused "
+    "nested-index pass), by engine.";
 
 obs::Histogram &
 sweepPointHistogram(SweepEngine engine)
 {
-    static obs::Histogram serial = obs::globalMetrics().histogram(
-        "autofsm_sweep_point_millis", kSweepPointHelp,
-        obs::defaultLatencyBucketsMillis(), {{"engine", "serial"}});
     static obs::Histogram batch = obs::globalMetrics().histogram(
         "autofsm_sweep_point_millis", kSweepPointHelp,
         obs::defaultLatencyBucketsMillis(), {{"engine", "batch"}});
     static obs::Histogram nested = obs::globalMetrics().histogram(
         "autofsm_sweep_point_millis", kSweepPointHelp,
         obs::defaultLatencyBucketsMillis(), {{"engine", "nested"}});
-    switch (engine) {
-      case SweepEngine::Batch:
-        return batch;
-      case SweepEngine::Nested:
-        return nested;
-      case SweepEngine::Serial:
-        break;
-    }
-    return serial;
+    return engine == SweepEngine::Nested ? nested : batch;
 }
 
 obs::Gauge &
@@ -47,12 +36,6 @@ sweepPointsPerPassGauge()
 }
 
 } // anonymous namespace
-
-void
-BtbKernel::publishMetrics() const
-{
-    publishBtbMetrics(name(), lookups_, hits_);
-}
 
 void
 observeSweepPointMillis(double millis, SweepEngine engine)
@@ -100,7 +83,7 @@ replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
     counts.btbMisses.assign(k, 0);
     counts.fsmMisses.assign(k, 0);
 
-    BtbKernel btb(btb_config, costs);
+    XScaleBtb btb(btb_config, costs);
     counts.btbArea = btb.area();
     counts.btbName = btb.name();
 
@@ -152,7 +135,7 @@ replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
             }
         }
     }
-    btb.publishMetrics();
+    publishBtbMetrics(btb.name(), btb.lookups(), btb.hits());
     counts.btbLookups = btb.lookups();
     counts.btbHits = btb.hits();
 

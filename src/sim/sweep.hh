@@ -4,28 +4,15 @@
  *
  * The Figure 5 evaluation replays the same dynamic trace once per sweep
  * point (every gshare size, every LGC size, the XScale baseline) and
- * once per custom machine. The seed path drove every replay through the
- * `BranchPredictor` virtual interface over the AoS trace; this engine
- * replaces the hot loops with:
+ * once per custom machine. The hot loops are:
  *
- *  - `sweepKernel<P>`: a templated replay over a PackedTrace whose
- *    predict/update calls bind statically (the concrete predictors are
- *    `final`, so the compiler devirtualizes and inlines them). The
- *    virtual API remains available as the compatibility instantiation
- *    `sweepKernel<BranchPredictor>`.
+ *  - `sweepKernelRaw<P>`: a templated replay over a PackedTrace that
+ *    drives a concrete predictor (XScaleBtb, Gshare, LocalGlobalChooser)
+ *    through its header-inline fused `step(pc, taken)`. The classes are
+ *    `final`, so the step binds statically and inlines; it makes the
+ *    same decisions as the virtual predict/update pair.
  *  - `sweepKernelBatch<P>`: every predictor of one *kind* live in a
- *    single trace pass (one trace read for a whole gshare size sweep).
- *  - `BtbKernel` / `GshareKernel` / `LgcKernel`: compact kernel-state
- *    replicas of XScaleBtb, Gshare and LocalGlobalChooser. The predictor
- *    classes keep a 20-byte SudCounter object (value plus its own copy
- *    of the config) per 2-bit counter and tally BTB lookups through
- *    atomics; the replicas store at most one byte per counter (a
- *    gshare-2^16 table shrinks from 1.25 MB to 64 KB; LGC packs its
- *    counters tighter still), fuse predict+update into one `step` over
- *    a single table access, and their bodies live in this header so
- *    the templated kernels inline them. Decision sequences, names and
- *    areas are bit-exact replicas of the classes (sweep_test proves it
- *    against the virtual path on every benchmark).
+ *    single trace pass (one trace read for a whole size sweep).
  *  - `replayCustomMachines`: the transposed custom-curve evaluation -
  *    instead of stepping every trained FSM on every record, machines are
  *    compiled into lane groups and replayed together over the packed
@@ -33,17 +20,15 @@
  *    which also shards long traces across workers with exact
  *    warm-up-edge replay at the shard boundaries.
  *
- * Results are bit-identical to the serial seed path; sweep_test and
- * bench_sim_sweep assert this.
+ * Results are bit-identical to per-record virtual simulation; sweep_test
+ * checks every kernel against the plain reference predictors.
  */
 
 #ifndef AUTOFSM_SIM_SWEEP_HH
 #define AUTOFSM_SIM_SWEEP_HH
 
-#include <array>
 #include <chrono>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -51,448 +36,15 @@
 
 #include "automata/dfa.hh"
 #include "bpred/btb.hh"
-#include "bpred/gshare.hh"
-#include "bpred/local_global.hh"
 #include "bpred/simulate.hh"
 #include "sim/packed_trace.hh"
-#include "support/bits.hh"
 #include "synth/area.hh"
 
 namespace autofsm
 {
 
-/** Saturating 2-bit counter step, the byte form of SudConfig::twoBit. */
-inline void
-bumpTwoBit(uint8_t &value, bool up)
-{
-    if (up) {
-        if (value < 3)
-            ++value;
-    } else if (value > 0) {
-        --value;
-    }
-}
-
-/** bumpTwoBit on a 0..3 value passed by value. */
-constexpr uint8_t
-bumpedTwoBit(uint8_t value, bool up)
-{
-    if (up)
-        return value < 3 ? static_cast<uint8_t>(value + 1) : value;
-    return value > 0 ? static_cast<uint8_t>(value - 1) : value;
-}
-
-/**
- * Kernel-state replica of XScaleBtb: same geometry, same decision
- * sequence, same lookup/hit tallies, but plain integers instead of
- * per-predict atomics and a packed entry instead of a SudCounter.
- */
-class BtbKernel final
-{
-  public:
-    explicit BtbKernel(const BtbConfig &config = {},
-                       const AreaCosts &costs = {})
-        : config_(config), costs_(costs),
-          entries_(static_cast<size_t>(config.entries)),
-          indexMask_(static_cast<uint64_t>(config.entries - 1)),
-          tagShift_(2 + ceilLog2(static_cast<uint32_t>(config.entries))),
-          tagMask_(lowMask(config.tagBits))
-    {}
-
-    bool
-    predict(uint64_t pc)
-    {
-        ++lookups_;
-        const Entry &entry = entries_[indexOf(pc)];
-        if (!entry.valid || entry.tag != tagOf(pc))
-            return false; // BTB miss: predict not-taken
-        ++hits_;
-        return entry.counter >= 2;
-    }
-
-    void
-    update(uint64_t pc, bool taken)
-    {
-        Entry &entry = entries_[indexOf(pc)];
-        const uint64_t tag = tagOf(pc);
-        if (entry.valid && entry.tag == tag) {
-            bumpTwoBit(entry.counter, taken);
-            return;
-        }
-        entry.valid = true;
-        entry.tag = tag;
-        entry.counter = taken ? 2 : 1;
-    }
-
-    /**
-     * Fused predict-then-update over one shared entry load; returns
-     * whether the prediction was wrong. Same decisions and tallies as
-     * predict(pc) followed by update(pc, taken), but branch-free: the
-     * hit/miss outcome is data-dependent and mispredicts heavily as a
-     * branch, so both paths are computed and selected. Writing back
-     * valid and tag unconditionally is a no-op on hits.
-     */
-    bool
-    step(uint64_t pc, bool taken)
-    {
-        ++lookups_;
-        Entry &entry = entries_[indexOf(pc)];
-        const uint64_t tag = tagOf(pc);
-        const bool hit = entry.valid & (entry.tag == tag);
-        hits_ += static_cast<uint64_t>(hit);
-        const bool prediction = hit & (entry.counter >= 2);
-        entry.counter = hit ? bumpedTwoBit(entry.counter, taken)
-                            : static_cast<uint8_t>(taken ? 2 : 1);
-        entry.valid = true;
-        entry.tag = tag;
-        return prediction != taken;
-    }
-
-    double
-    area() const
-    {
-        return tableArea(
-            static_cast<double>(config_.tagBits + config_.targetBits + 2) *
-                config_.entries,
-            costs_);
-    }
-
-    std::string
-    name() const
-    {
-        return "xscale-btb" + std::to_string(config_.entries);
-    }
-
-    uint64_t lookups() const { return lookups_; }
-    uint64_t hits() const { return hits_; }
-
-    /** Hint the entry a future record at @p pc will touch. */
-    void
-    prefetch(uint64_t pc) const
-    {
-        __builtin_prefetch(&entries_[indexOf(pc)], 1);
-    }
-
-    /** Export the tallies like publishBtbMetrics(const XScaleBtb &). */
-    void publishMetrics() const;
-
-  private:
-    struct Entry
-    {
-        uint64_t tag = 0;
-        uint8_t counter = 1;
-        bool valid = false;
-    };
-
-    size_t
-    indexOf(uint64_t pc) const
-    {
-        return static_cast<size_t>((pc >> 2) & indexMask_);
-    }
-
-    uint64_t tagOf(uint64_t pc) const { return (pc >> tagShift_) & tagMask_; }
-
-    BtbConfig config_;
-    AreaCosts costs_;
-    std::vector<Entry> entries_;
-    uint64_t indexMask_;
-    int tagShift_;
-    uint64_t tagMask_;
-    uint64_t lookups_ = 0;
-    uint64_t hits_ = 0;
-};
-
-/** Kernel-state replica of Gshare: one byte per 2-bit counter. */
 namespace detail
 {
-
-/**
- * Fused 2-bit counter step: entry [(taken << 2) | counter] holds the
- * bumped counter in bits 0-1 and the pre-bump prediction (counter >= 2)
- * in bit 4, so a predict-then-train pair is one 8-byte table load
- * instead of a compare plus a saturating bump.
- */
-constexpr std::array<uint8_t, 8>
-makeCounterStepTable()
-{
-    std::array<uint8_t, 8> table{};
-    for (unsigned t = 0; t < 2; ++t) {
-        for (unsigned c = 0; c < 4; ++c) {
-            const auto counter = static_cast<uint8_t>(c);
-            table[(t << 2) | c] = static_cast<uint8_t>(
-                (static_cast<unsigned>(counter >= 2) << 4) |
-                bumpedTwoBit(counter, t != 0));
-        }
-    }
-    return table;
-}
-
-inline constexpr std::array<uint8_t, 8> kCounterStep =
-    makeCounterStepTable();
-
-} // namespace detail
-
-class GshareKernel final
-{
-  public:
-    explicit GshareKernel(const GshareConfig &config = {},
-                          const AreaCosts &costs = {})
-        : config_(config), costs_(costs),
-          table_(size_t{1} << config.log2Entries, 1),
-          indexMask_((uint64_t{1} << config.log2Entries) - 1),
-          historyMask_((uint64_t{1} << config.historyBits) - 1)
-    {}
-
-    bool predict(uint64_t pc) const { return table_[indexOf(pc)] >= 2; }
-
-    void
-    update(uint64_t pc, bool taken)
-    {
-        bumpTwoBit(table_[indexOf(pc)], taken);
-        history_ = (history_ << 1) | (taken ? 1 : 0);
-    }
-
-    /**
-     * Fused predict-then-update: one shared counter load, stepped
-     * through detail::kCounterStep.
-     */
-    bool
-    step(uint64_t pc, bool taken)
-    {
-        uint8_t &counter = table_[indexOf(pc)];
-        const uint8_t stepped = detail::kCounterStep
-            [(static_cast<size_t>(taken) << 2) | counter];
-        counter = stepped & 3;
-        history_ = (history_ << 1) | (taken ? 1 : 0);
-        return ((stepped & 0x10) != 0) != taken;
-    }
-
-    double
-    area() const
-    {
-        return tableArea(2.0 * static_cast<double>(table_.size()) +
-                             config_.btbBits,
-                         costs_);
-    }
-
-    std::string
-    name() const
-    {
-        return "gshare-2^" + std::to_string(config_.log2Entries);
-    }
-
-  private:
-    size_t
-    indexOf(uint64_t pc) const
-    {
-        return static_cast<size_t>(((pc >> 2) ^ (history_ & historyMask_)) &
-                                   indexMask_);
-    }
-
-    GshareConfig config_;
-    AreaCosts costs_;
-    std::vector<uint8_t> table_;
-    uint64_t indexMask_;
-    uint64_t historyMask_;
-    uint64_t history_ = 0;
-};
-
-/**
- * Kernel-state replica of LocalGlobalChooser. The global counter and
- * the chooser counter are always read and trained at the same index
- * (the global history), so they share one byte (global in bits 0-1,
- * chooser in bits 2-3): one load and one store where the class does
- * four. Local pattern counters pack four per byte.
- */
-namespace detail
-{
-
-/**
- * The LGC global-counter/chooser pair is a 4-bit automaton whose next
- * state and prediction depend only on (state, outcome, local component
- * prediction) - 64 combinations in total. Precomputing them turns the
- * hot-loop's bump-and-select arithmetic into one load from a 64-byte
- * (single cache line) table. Entry layout: bits 0-3 next packed state
- * (global counter in 0-1, chooser in 2-3), bit 4 the prediction made
- * before training. Semantics match the scalar code exactly: the
- * chooser trains only when the components disagree, towards whichever
- * was right.
- */
-constexpr std::array<uint8_t, 64>
-makeLgcGcStepTable()
-{
-    std::array<uint8_t, 64> table{};
-    for (unsigned gc = 0; gc < 16; ++gc) {
-        for (unsigned t = 0; t < 2; ++t) {
-            for (unsigned lp = 0; lp < 2; ++lp) {
-                const bool taken = t != 0;
-                const bool local_pred = lp != 0;
-                uint8_t global_counter = gc & 3;
-                uint8_t chooser = (gc >> 2) & 3;
-                const bool global_pred = global_counter >= 2;
-                const bool prediction =
-                    chooser >= 2 ? global_pred : local_pred;
-                if (local_pred != global_pred)
-                    chooser = bumpedTwoBit(chooser, global_pred == taken);
-                global_counter = bumpedTwoBit(global_counter, taken);
-                table[(gc << 2) | (t << 1) | lp] = static_cast<uint8_t>(
-                    (static_cast<unsigned>(prediction) << 4) |
-                    (chooser << 2) | global_counter);
-            }
-        }
-    }
-    return table;
-}
-
-inline constexpr std::array<uint8_t, 64> kLgcGcStep = makeLgcGcStepTable();
-
-} // namespace detail
-
-class LgcKernel final
-{
-  public:
-    explicit LgcKernel(const LgcConfig &config = {},
-                       const AreaCosts &costs = {})
-        : config_(config), costs_(costs),
-          localHistory_(size_t{1} << config.log2Entries, 0),
-          localTable_(((size_t{1} << config.log2Entries) + 3) / 4, 0x55),
-          globalChooser_(size_t{1} << config.log2Entries, 0x05),
-          mask_((uint64_t{1} << config.log2Entries) - 1)
-    {
-        // Local histories are log2Entries bits (LgcConfig ties history
-        // length to table size), so uint16 entries are lossless for any
-        // geometry this replica supports.
-        if (config.log2Entries > 16)
-            throw std::length_error(
-                "LgcKernel supports log2Entries <= 16");
-    }
-
-    bool
-    predict(uint64_t pc) const
-    {
-        const uint8_t gc = globalChooser_[globalIndex()];
-        return ((gc >> 2) & 3) >= 2 ? (gc & 3) >= 2 : localPredict(pc);
-    }
-
-    void
-    update(uint64_t pc, bool taken)
-    {
-        step(pc, taken);
-    }
-
-    /**
-     * Fused predict-then-update: the component indices and their
-     * counters are loaded once instead of once for the prediction and
-     * again for the training, and the whole global/chooser decision -
-     * select, train-on-disagreement, bump - collapses to one lookup in
-     * detail::kLgcGcStep. Decision order matches predict+update.
-     */
-    bool
-    step(uint64_t pc, bool taken)
-    {
-        const size_t pc_idx = pcIndex(pc);
-        const size_t global_idx = globalIndex();
-        const uint64_t local_hist = localHistory_[pc_idx] & mask_;
-        const size_t local_idx = static_cast<size_t>(local_hist);
-
-        uint8_t &local_byte = localTable_[local_idx >> 2];
-        const unsigned local_shift = (local_idx & 3) * 2;
-        const uint8_t local_counter = (local_byte >> local_shift) & 3;
-        const bool local_pred = local_counter >= 2;
-
-        const uint8_t gc_byte = globalChooser_[global_idx];
-        const uint8_t stepped = detail::kLgcGcStep
-            [(static_cast<size_t>(gc_byte) << 2) |
-             (static_cast<size_t>(taken) << 1) |
-             static_cast<size_t>(local_pred)];
-        globalChooser_[global_idx] = stepped & 0xf;
-        const bool prediction = (stepped & 0x10) != 0;
-
-        local_byte = static_cast<uint8_t>(
-            (local_byte & ~(3u << local_shift)) |
-            (static_cast<unsigned>(bumpedTwoBit(local_counter, taken))
-             << local_shift));
-
-        localHistory_[pc_idx] = static_cast<uint16_t>(
-            ((local_hist << 1) | (taken ? 1 : 0)) & mask_);
-        history_ = (history_ << 1) | (taken ? 1 : 0);
-        return prediction != taken;
-    }
-
-    /**
-     * Hint the local history a future record at @p pc will touch - the
-     * head of the step's dependent load chain (history, then pattern
-     * counter). The history-indexed tables can't be prefetched: their
-     * indices depend on outcomes not yet consumed.
-     */
-    void
-    prefetch(uint64_t pc) const
-    {
-        __builtin_prefetch(&localHistory_[pcIndex(pc)], 1);
-    }
-
-    double
-    area() const
-    {
-        const double n =
-            static_cast<double>(uint64_t{1} << config_.log2Entries);
-        const double bits =
-            n * config_.log2Entries + 3.0 * 2.0 * n + config_.btbBits;
-        return tableArea(bits, costs_);
-    }
-
-    std::string
-    name() const
-    {
-        return "lgc-2^" + std::to_string(config_.log2Entries);
-    }
-
-  private:
-    size_t
-    pcIndex(uint64_t pc) const
-    {
-        return static_cast<size_t>((pc >> 2) & mask_);
-    }
-
-    size_t globalIndex() const { return static_cast<size_t>(history_ & mask_); }
-
-    bool
-    localPredict(uint64_t pc) const
-    {
-        const auto hist =
-            static_cast<size_t>(localHistory_[pcIndex(pc)] & mask_);
-        return ((localTable_[hist >> 2] >> ((hist & 3) * 2)) & 3) >= 2;
-    }
-
-    LgcConfig config_;
-    AreaCosts costs_;
-    std::vector<uint16_t> localHistory_;
-    /** Local pattern counters, packed four per byte. */
-    std::vector<uint8_t> localTable_;
-    /** Byte i: global counter (bits 0-1), chooser (bits 2-3). */
-    std::vector<uint8_t> globalChooser_;
-    uint64_t mask_;
-    uint64_t history_ = 0;
-};
-
-namespace detail
-{
-
-/**
- * Detects a fused `bool step(pc, taken)` on a predictor type. The
- * kernels prefer it over predict+update so shared table loads happen
- * once; predictors without one (including the virtual BranchPredictor
- * compatibility instantiation) take the two-call path.
- */
-template <class P, class = void>
-struct HasFusedStep : std::false_type
-{};
-
-template <class P>
-struct HasFusedStep<P, std::void_t<decltype(static_cast<bool>(
-                           std::declval<P &>().step(uint64_t{}, true)))>>
-    : std::true_type
-{};
 
 /** Detects a `prefetch(pc)` hint for pc-indexed predictor state. */
 template <class P, class = void>
@@ -517,18 +69,16 @@ inline constexpr size_t kPrefetchDistance = 16;
  */
 enum class SweepEngine
 {
-    Serial, ///< one predictor per trace pass (sweepKernel)
-    Batch,  ///< one predictor kind per pass (sweepKernelBatch, replays)
+    Batch,  ///< custom-machine replays and their baseline BTB chain
     Nested, ///< the nested-index engine (sim/nested_sweep.hh)
 };
 
 /** Record one finished sweep point in autofsm_sweep_point_millis. */
-void observeSweepPointMillis(double millis,
-                             SweepEngine engine = SweepEngine::Serial);
+void observeSweepPointMillis(double millis, SweepEngine engine);
 
 /**
  * Record in the autofsm_sweep_points_per_pass gauge how many sweep
- * points the most recent fused pass serviced (1 for a serial replay).
+ * points the most recent fused pass serviced.
  */
 void observeSweepPointsPerPass(size_t points);
 
@@ -539,7 +89,7 @@ void observeSweepPointsPerPass(size_t points);
 class SweepPointTimer
 {
   public:
-    explicit SweepPointTimer(SweepEngine engine = SweepEngine::Serial);
+    explicit SweepPointTimer(SweepEngine engine);
     ~SweepPointTimer();
 
     SweepPointTimer(const SweepPointTimer &) = delete;
@@ -547,16 +97,14 @@ class SweepPointTimer
 
   private:
     std::chrono::steady_clock::time_point start_;
-    SweepEngine engine_ = SweepEngine::Serial;
+    SweepEngine engine_;
     bool active_ = false;
 };
 
 /**
- * Replay @p trace through @p predictor (predict, then update, per
- * record), without publishing telemetry. Instantiated with a concrete
- * `final` predictor type the calls devirtualize; instantiated with
- * `BranchPredictor` it is the compatibility wrapper over the virtual
- * API. Identical decision sequence to simulateBranchPredictor.
+ * Replay @p trace through @p predictor's fused step, one record at a
+ * time, without publishing telemetry. Identical decision sequence to
+ * simulateBranchPredictor over the virtual predict/update pair.
  */
 template <class P>
 BpredSimResult
@@ -574,27 +122,9 @@ sweepKernelRaw(P &predictor, const PackedTrace &trace)
             if (i + detail::kPrefetchDistance < n)
                 predictor.prefetch(pcs[i + detail::kPrefetchDistance]);
         }
-        if constexpr (detail::HasFusedStep<P>::value) {
-            mispredicts +=
-                static_cast<uint64_t>(predictor.step(pcs[i], taken));
-        } else {
-            mispredicts +=
-                static_cast<uint64_t>(predictor.predict(pcs[i]) != taken);
-            predictor.update(pcs[i], taken);
-        }
+        mispredicts += static_cast<uint64_t>(predictor.step(pcs[i], taken));
     }
     result.mispredicts = mispredicts;
-    return result;
-}
-
-/** sweepKernelRaw plus the per-run telemetry simulateBranchPredictor
- *  publishes, so engine and seed paths export the same counters. */
-template <class P>
-BpredSimResult
-sweepKernel(P &predictor, const PackedTrace &trace)
-{
-    const BpredSimResult result = sweepKernelRaw(predictor, trace);
-    publishBpredRun(predictor.name(), result);
     return result;
 }
 
@@ -602,8 +132,8 @@ sweepKernel(P &predictor, const PackedTrace &trace)
  * Evaluate every predictor of one kind in a single trace pass: the
  * trace is read once while all sweep points step side by side. Each
  * predictor sees exactly the decision sequence it would see alone
- * (they share nothing), so results match per-point sweepKernel runs
- * bit for bit.
+ * (they share nothing), so results match per-point sweepKernelRaw runs
+ * bit for bit. Publishes each point's run telemetry.
  */
 template <class P>
 std::vector<BpredSimResult>
@@ -626,16 +156,9 @@ sweepKernelBatch(std::vector<P> &predictors, const PackedTrace &trace)
                     predictors[j].prefetch(ahead);
             }
         }
-        for (size_t j = 0; j < k; ++j) {
-            if constexpr (detail::HasFusedStep<P>::value) {
-                results[j].mispredicts += static_cast<uint64_t>(
-                    predictors[j].step(pc, taken));
-            } else {
-                results[j].mispredicts += static_cast<uint64_t>(
-                    predictors[j].predict(pc) != taken);
-                predictors[j].update(pc, taken);
-            }
-        }
+        for (size_t j = 0; j < k; ++j)
+            results[j].mispredicts +=
+                static_cast<uint64_t>(predictors[j].step(pc, taken));
     }
     for (size_t j = 0; j < k; ++j)
         publishBpredRun(predictors[j].name(), results[j]);

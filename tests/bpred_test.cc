@@ -14,6 +14,7 @@
 #include "bpred/simulate.hh"
 #include "bpred/trainer.hh"
 #include "support/rng.hh"
+#include "support/sud_counter.hh"
 #include "workloads/branch_workloads.hh"
 
 namespace autofsm

@@ -1,15 +1,21 @@
 /**
  * @file
- * Sweep-engine tests: the packed trace round-trips, the devirtualized
- * kernels and the transposed custom replay are bit-identical to the
- * virtual-dispatch seed path, parallel sweeps match serial ones, and
- * the process-wide trace cache is safe under concurrent access.
+ * Sweep-engine tests: the packed trace round-trips, the production
+ * predictor classes match the plain reference predictors
+ * (reference_predictors.hh) through both their virtual and fused
+ * interfaces, the transposed custom replay matches per-record machine
+ * stepping, parallel sweeps match serial ones, every exported sweep
+ * timing cell is exercised, and the process-wide trace cache is safe
+ * under concurrent access.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -19,11 +25,14 @@
 #include "bpred/simulate.hh"
 #include "bpred/trainer.hh"
 #include "fsmgen/predictor_fsm.hh"
+#include "obs/metrics.hh"
 #include "sim/figure5.hh"
 #include "sim/nested_sweep.hh"
 #include "sim/packed_trace.hh"
 #include "sim/sweep.hh"
 #include "workloads/trace_cache.hh"
+
+#include "reference_predictors.hh"
 
 namespace autofsm
 {
@@ -45,101 +54,85 @@ TEST(PackedTraceTest, RoundTripsEveryRecord)
     }
 }
 
-TEST(SweepKernelTest, GoldenMatchAgainstVirtualSimulation)
+/**
+ * Drive one production predictor through both of its interfaces - the
+ * virtual predict/update pair (simulateBranchPredictor) and the fused
+ * step (sweepKernelRaw) - and require both to match the plain reference
+ * implementation on every output the experiments read.
+ */
+template <class Production, class Reference, class Config>
+void
+expectMatchesReference(const Config &config, const BranchTrace &trace,
+                       const std::string &context)
+{
+    Reference reference(config);
+    Production virt(config);
+    Production fused(config);
+    const BpredSimResult want = simulateBranchPredictor(reference, trace);
+    const BpredSimResult got_virtual = simulateBranchPredictor(virt, trace);
+    const BpredSimResult got_fused =
+        sweepKernelRaw(fused, PackedTrace(trace));
+
+    EXPECT_EQ(got_virtual.branches, want.branches) << context;
+    EXPECT_EQ(got_fused.branches, want.branches) << context;
+    EXPECT_EQ(got_virtual.mispredicts, want.mispredicts) << context;
+    EXPECT_EQ(got_fused.mispredicts, want.mispredicts) << context;
+    EXPECT_EQ(virt.name(), reference.name()) << context;
+    EXPECT_EQ(virt.area(), reference.area()) << context;
+    if constexpr (std::is_same_v<Production, XScaleBtb>) {
+        EXPECT_EQ(virt.lookups(), reference.lookups()) << context;
+        EXPECT_EQ(virt.hits(), reference.hits()) << context;
+        EXPECT_EQ(fused.lookups(), reference.lookups()) << context;
+        EXPECT_EQ(fused.hits(), reference.hits()) << context;
+    }
+}
+
+// The packed production classes must be indistinguishable from the
+// reference predictors on every benchmark, at every Figure-5 geometry
+// (plus a 4-entry BTB that conflicts constantly), over full traces and
+// over prefixes that end around an outcome-word boundary.
+TEST(ReferencePredictorTest, ProductionClassesMatchReference)
 {
     for (const std::string &name : branchBenchmarkNames()) {
-        const BranchTrace trace =
+        const BranchTrace full =
             makeBranchTrace(name, WorkloadInput::Test, kBranches);
-        const PackedTrace packed(trace);
+        for (size_t length : {full.size(), size_t{1}, size_t{63},
+                              size_t{64}, size_t{65}}) {
+            const BranchTrace trace(full.begin(),
+                                    full.begin() +
+                                        static_cast<ptrdiff_t>(length));
+            const std::string at =
+                name + " n=" + std::to_string(length) + " ";
 
-        {
-            XScaleBtb seed, sweep;
-            const BpredSimResult a = simulateBranchPredictor(seed, trace);
-            const BpredSimResult b = sweepKernel(sweep, packed);
-            EXPECT_EQ(a.branches, b.branches) << name;
-            EXPECT_EQ(a.mispredicts, b.mispredicts) << name;
-        }
-        {
-            Gshare seed, sweep;
-            const BpredSimResult a = simulateBranchPredictor(seed, trace);
-            const BpredSimResult b = sweepKernel(sweep, packed);
-            EXPECT_EQ(a.mispredicts, b.mispredicts) << name;
-        }
-        {
-            LocalGlobalChooser seed, sweep;
-            const BpredSimResult a = simulateBranchPredictor(seed, trace);
-            const BpredSimResult b = sweepKernel(sweep, packed);
-            EXPECT_EQ(a.mispredicts, b.mispredicts) << name;
+            for (int entries : {BtbConfig{}.entries, 4}) {
+                BtbConfig config;
+                config.entries = entries;
+                expectMatchesReference<XScaleBtb, reference::XScaleBtb>(
+                    config, trace, at + "btb" + std::to_string(entries));
+            }
+            for (int log2 = 8; log2 <= 16; ++log2) {
+                GshareConfig config;
+                config.log2Entries = log2;
+                config.historyBits = std::min(log2, 16);
+                expectMatchesReference<Gshare, reference::Gshare>(
+                    config, trace, at + "gshare" + std::to_string(log2));
+            }
+            for (int log2 = 8; log2 <= 13; ++log2) {
+                LgcConfig config;
+                config.log2Entries = log2;
+                expectMatchesReference<LocalGlobalChooser,
+                                       reference::LocalGlobalChooser>(
+                    config, trace, at + "lgc" + std::to_string(log2));
+            }
         }
     }
 }
 
-// The kernel-state replicas must be indistinguishable from the
-// predictor classes in every output the experiments read: mispredict
-// counts, names, areas, and (for the BTB) lookup/hit tallies.
-TEST(SweepKernelTest, KernelReplicasMatchPredictorClasses)
-{
-    for (const std::string &name : branchBenchmarkNames()) {
-        const BranchTrace trace =
-            makeBranchTrace(name, WorkloadInput::Test, kBranches);
-        const PackedTrace packed(trace);
-
-        {
-            XScaleBtb seed;
-            BtbKernel kernel;
-            const BpredSimResult a = simulateBranchPredictor(seed, trace);
-            const BpredSimResult b = sweepKernel(kernel, packed);
-            EXPECT_EQ(a.mispredicts, b.mispredicts) << name;
-            EXPECT_EQ(seed.name(), kernel.name());
-            EXPECT_EQ(seed.area(), kernel.area());
-            EXPECT_EQ(seed.lookups(), kernel.lookups()) << name;
-            EXPECT_EQ(seed.hits(), kernel.hits()) << name;
-        }
-        for (int log2 : {8, 12, 16}) {
-            GshareConfig config;
-            config.log2Entries = log2;
-            config.historyBits = std::min(log2, 16);
-            Gshare seed(config);
-            GshareKernel kernel(config);
-            const BpredSimResult a = simulateBranchPredictor(seed, trace);
-            const BpredSimResult b = sweepKernel(kernel, packed);
-            EXPECT_EQ(a.mispredicts, b.mispredicts) << name << " " << log2;
-            EXPECT_EQ(seed.name(), kernel.name());
-            EXPECT_EQ(seed.area(), kernel.area());
-        }
-        for (int log2 : {8, 10, 13}) {
-            LgcConfig config;
-            config.log2Entries = log2;
-            LocalGlobalChooser seed(config);
-            LgcKernel kernel(config);
-            const BpredSimResult a = simulateBranchPredictor(seed, trace);
-            const BpredSimResult b = sweepKernel(kernel, packed);
-            EXPECT_EQ(a.mispredicts, b.mispredicts) << name << " " << log2;
-            EXPECT_EQ(seed.name(), kernel.name());
-            EXPECT_EQ(seed.area(), kernel.area());
-        }
-    }
-}
-
-TEST(SweepKernelTest, LgcKernelRejectsOversizedGeometry)
+TEST(ReferencePredictorTest, LocalGlobalChooserRejectsOversizedGeometry)
 {
     LgcConfig config;
     config.log2Entries = 17;
-    EXPECT_THROW(LgcKernel{config}, std::length_error);
-}
-
-TEST(SweepKernelTest, CompatibilityInstantiationUsesVirtualApi)
-{
-    const BranchTrace trace =
-        makeBranchTrace("compress", WorkloadInput::Test, kBranches);
-    const PackedTrace packed(trace);
-
-    Gshare concrete;
-    BranchPredictor &virt = concrete;
-    Gshare direct;
-    const BpredSimResult a = sweepKernel<BranchPredictor>(virt, packed);
-    const BpredSimResult b = sweepKernel(direct, packed);
-    EXPECT_EQ(a.mispredicts, b.mispredicts);
+    EXPECT_THROW(LocalGlobalChooser{config}, std::length_error);
 }
 
 TEST(SweepKernelTest, BatchMatchesIndividualRuns)
@@ -164,7 +157,7 @@ TEST(SweepKernelTest, BatchMatchesIndividualRuns)
         config.log2Entries = sizes[i];
         config.historyBits = sizes[i];
         Gshare lone(config);
-        const BpredSimResult r = sweepKernel(lone, packed);
+        const BpredSimResult r = sweepKernelRaw(lone, packed);
         EXPECT_EQ(rs[i].branches, r.branches);
         EXPECT_EQ(rs[i].mispredicts, r.mispredicts);
     }
@@ -183,7 +176,7 @@ TEST(CustomReplayTest, MatchesDirectMachineStepping)
     // Reference: the seed loop stepping every machine on every record.
     const BtbConfig btb_config;
     const AreaCosts costs;
-    XScaleBtb btb(btb_config, costs);
+    reference::XScaleBtb btb(btb_config, costs);
     std::vector<PredictorFsm> machines;
     std::unordered_map<uint64_t, size_t> machine_of;
     for (size_t i = 0; i < trained.size(); ++i) {
@@ -320,6 +313,35 @@ TEST(SweepParallelTest, ParallelSweepMatchesSerial)
     EXPECT_EQ(serial.xscale.missRate, profiled.xscale.missRate);
     expectSeriesIdentical(serial.customSame, profiled.customSame);
     expectSeriesIdentical(serial.customDiff, profiled.customDiff);
+}
+
+// Each engine label on autofsm_sweep_point_millis must be one that a
+// Figure-5 pass actually times; a cell stuck at zero is a hole in the
+// per-engine attribution.
+TEST(SweepTelemetryTest, EveryExportedSweepPointCellIsObserved)
+{
+#ifdef AUTOFSM_NO_TELEMETRY
+    GTEST_SKIP() << "built with AUTOFSM_NO_TELEMETRY";
+#endif
+    obs::MetricsRegistry &registry = obs::globalMetrics();
+    registry.reset();
+
+    Fig5Options options;
+    options.branchesPerRun = kBranches;
+    options.training.maxCustomBranches = 4;
+    runFigure5("gsm", options);
+
+    size_t cells = 0;
+    for (const obs::MetricValue &metric : registry.snapshot().metrics) {
+        if (metric.name != "autofsm_sweep_point_millis")
+            continue;
+        ++cells;
+        std::string labels;
+        for (const auto &[key, value] : metric.labels)
+            labels += key + "=" + value + " ";
+        EXPECT_GT(metric.histogram.count, 0u) << labels;
+    }
+    EXPECT_GT(cells, 0u);
 }
 
 TEST(TraceCacheTest, ConcurrentCallersShareOneBuild)
@@ -468,36 +490,36 @@ expectNestedMatchesKernels(const NestedSweepRequest &request,
 
     ASSERT_EQ(swept.gshare.size(), request.gshare.size()) << context;
     for (size_t i = 0; i < request.gshare.size(); ++i) {
-        GshareKernel kernel(request.gshare[i], costs);
-        const BpredSimResult oracle = sweepKernelRaw(kernel, packed);
+        Gshare predictor(request.gshare[i], costs);
+        const BpredSimResult oracle = sweepKernelRaw(predictor, packed);
         EXPECT_EQ(swept.gshare[i].result.branches, oracle.branches)
             << context << " gshare " << i;
         EXPECT_EQ(swept.gshare[i].result.mispredicts, oracle.mispredicts)
             << context << " gshare " << i;
-        EXPECT_EQ(swept.gshare[i].name, kernel.name());
-        EXPECT_EQ(swept.gshare[i].area, kernel.area());
+        EXPECT_EQ(swept.gshare[i].name, predictor.name());
+        EXPECT_EQ(swept.gshare[i].area, predictor.area());
     }
     ASSERT_EQ(swept.lgc.size(), request.lgc.size()) << context;
     for (size_t i = 0; i < request.lgc.size(); ++i) {
-        LgcKernel kernel(request.lgc[i], costs);
-        const BpredSimResult oracle = sweepKernelRaw(kernel, packed);
+        LocalGlobalChooser predictor(request.lgc[i], costs);
+        const BpredSimResult oracle = sweepKernelRaw(predictor, packed);
         EXPECT_EQ(swept.lgc[i].result.mispredicts, oracle.mispredicts)
             << context << " lgc " << i;
-        EXPECT_EQ(swept.lgc[i].name, kernel.name());
-        EXPECT_EQ(swept.lgc[i].area, kernel.area());
+        EXPECT_EQ(swept.lgc[i].name, predictor.name());
+        EXPECT_EQ(swept.lgc[i].area, predictor.area());
     }
     ASSERT_EQ(swept.btb.size(), request.btb.size()) << context;
     for (size_t i = 0; i < request.btb.size(); ++i) {
-        BtbKernel kernel(request.btb[i], costs);
-        const BpredSimResult oracle = sweepKernelRaw(kernel, packed);
+        XScaleBtb predictor(request.btb[i], costs);
+        const BpredSimResult oracle = sweepKernelRaw(predictor, packed);
         EXPECT_EQ(swept.btb[i].result.mispredicts, oracle.mispredicts)
             << context << " btb " << i;
-        EXPECT_EQ(swept.btb[i].lookups, kernel.lookups())
+        EXPECT_EQ(swept.btb[i].lookups, predictor.lookups())
             << context << " btb " << i;
-        EXPECT_EQ(swept.btb[i].hits, kernel.hits())
+        EXPECT_EQ(swept.btb[i].hits, predictor.hits())
             << context << " btb " << i;
-        EXPECT_EQ(swept.btb[i].name, kernel.name());
-        EXPECT_EQ(swept.btb[i].area, kernel.area());
+        EXPECT_EQ(swept.btb[i].name, predictor.name());
+        EXPECT_EQ(swept.btb[i].area, predictor.area());
     }
 }
 
