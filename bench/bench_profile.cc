@@ -11,7 +11,7 @@
  * A second timed section designs every swept model into an FSM through
  * the shared design flow, reporting machines/sec and the design-memo
  * hit rate (flow/design_memo.hh): across branches and orders many
- * truth tables coincide, so the minimize->regex->NFA->DFA->reduce tail
+ * truth tables coincide, so the minimize->regex->DFA->reduce tail
  * is shared.
  *
  * Usage: bench_profile [branches_per_run] [json_out]

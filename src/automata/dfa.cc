@@ -332,20 +332,36 @@ Dfa::toDot(const std::string &name) const
 namespace
 {
 
-/** FNV-1a over the packed state indices of a (sorted) subset. */
+/**
+ * FNV-1a over the words of a subset key: the sorted NFA state indices
+ * of fromNfa or the position-set words of fromCover. The high half is
+ * folded down so every bit of a 64-bit word reaches the bucket index.
+ */
 struct SubsetHash
 {
+    template <typename Word>
     size_t
-    operator()(const std::vector<int> &subset) const
+    operator()(const std::vector<Word> &words) const
     {
         uint64_t h = 0xcbf29ce484222325ULL;
-        for (int s : subset) {
-            h ^= static_cast<uint32_t>(s);
+        for (Word w : words) {
+            h ^= static_cast<uint64_t>(w);
             h *= 0x100000001b3ULL;
         }
-        return static_cast<size_t>(h);
+        return static_cast<size_t>(h ^ (h >> 32));
     }
 };
+
+/** Raise the subset stage's budget error once @p dfa has too many states. */
+void
+checkSubsetBudget(const Dfa &dfa, int max_states)
+{
+    if (max_states > 0 && dfa.numStates() > max_states) {
+        throw FlowError("subset", ErrorKind::BudgetExceeded,
+                        "subset construction minted more than " +
+                            std::to_string(max_states) + " states");
+    }
+}
 
 } // anonymous namespace
 
@@ -358,14 +374,6 @@ Dfa::fromNfa(const Nfa &nfa, int max_states)
     std::unordered_map<std::vector<int>, int, SubsetHash> subset_ids;
     std::deque<std::vector<int>> queue;
 
-    auto checkBudget = [max_states, &dfa] {
-        if (max_states > 0 && dfa.numStates() > max_states) {
-            throw FlowError("subset", ErrorKind::BudgetExceeded,
-                            "subset construction minted more than " +
-                                std::to_string(max_states) + " states");
-        }
-    };
-
     auto accepting = [&nfa](const std::vector<int> &subset) {
         for (int s : subset) {
             if (nfa.accepting(s))
@@ -377,7 +385,7 @@ Dfa::fromNfa(const Nfa &nfa, int max_states)
     const std::vector<int> start_subset = nfa.closure({nfa.start()});
     subset_ids[start_subset] = dfa.addState(accepting(start_subset) ? 1 : 0);
     queue.push_back(start_subset);
-    checkBudget();
+    checkSubsetBudget(dfa, max_states);
 
     // A sink for subsets that die (cannot happen with the (0|1)* prefix
     // regexes, but hand-built NFAs may be partial).
@@ -408,7 +416,7 @@ Dfa::fromNfa(const Nfa &nfa, int max_states)
                 const auto it = subset_ids.find(target);
                 if (it == subset_ids.end()) {
                     to = dfa.addState(accepting(target) ? 1 : 0);
-                    checkBudget();
+                    checkSubsetBudget(dfa, max_states);
                     subset_ids.emplace(target, to);
                     queue.push_back(target);
                 } else {
@@ -416,6 +424,73 @@ Dfa::fromNfa(const Nfa &nfa, int max_states)
                 }
             }
             dfa.setEdge(from, symbol, to);
+        }
+    }
+
+    dfa.setStart(0);
+    return dfa;
+}
+
+Dfa
+Dfa::fromCover(const Cover &cover, int max_states)
+{
+    const int n = cover.numVars();
+    assert(!cover.empty() && n >= 1 && n <= MaxBits);
+    const size_t row_words = (cover.size() + 63) / 64;
+    const size_t rows = static_cast<size_t>(n) * row_words;
+
+    // match[c][j * row_words + i / 64] has bit i % 64 set iff symbol j of
+    // cube i accepts input c. Symbols run MSB first, as in
+    // regexFromCover: symbol j is history bit n - 1 - j.
+    std::vector<uint64_t> match[2] = {std::vector<uint64_t>(rows, 0),
+                                      std::vector<uint64_t>(rows, 0)};
+    for (size_t i = 0; i < cover.size(); ++i) {
+        const Cube &cube = cover.cubes()[i];
+        const uint64_t cube_bit = uint64_t{1} << (i % 64);
+        for (int j = 0; j < n; ++j) {
+            const int var = n - 1 - j;
+            const size_t word = static_cast<size_t>(j) * row_words + i / 64;
+            for (int c = 0; c < 2; ++c) {
+                if (!bitOf(cube.mask, var) || bitOf(cube.value, var) == c)
+                    match[c][word] |= cube_bit;
+            }
+        }
+    }
+
+    // A state is 1 + rows words: the started flag, then the cube rows
+    // for depths 1..n. The start state (nothing consumed) is all zero.
+    Dfa dfa;
+    std::unordered_map<std::vector<uint64_t>, int, SubsetHash> ids;
+    // Each state's words, by DFA index (map keys never move).
+    std::vector<const std::vector<uint64_t> *> words_of;
+    const size_t depth_n = 1 + rows - row_words;
+    auto mint = [&](const std::vector<uint64_t> &words) {
+        int output = 0;
+        for (size_t w = depth_n; w < words.size(); ++w)
+            output |= words[w] != 0 ? 1 : 0;
+        const int id = dfa.addState(output);
+        checkSubsetBudget(dfa, max_states);
+        words_of.push_back(&ids.emplace(words, id).first->first);
+        return id;
+    };
+
+    mint(std::vector<uint64_t>(1 + rows, 0));
+    std::vector<uint64_t> target(1 + rows);
+    // States are minted in discovery order and expanded first-in
+    // first-out, so the BFS queue is simply the state index.
+    for (int from = 0; from < dfa.numStates(); ++from) {
+        for (int symbol = 0; symbol < 2; ++symbol) {
+            const std::vector<uint64_t> &source =
+                *words_of[static_cast<size_t>(from)];
+            const std::vector<uint64_t> &mask = match[symbol];
+            target[0] = 1;
+            for (size_t w = 0; w < row_words; ++w)
+                target[1 + w] = mask[w];
+            for (size_t w = row_words; w < rows; ++w)
+                target[1 + w] = source[1 + w - row_words] & mask[w];
+            const auto it = ids.find(target);
+            dfa.setEdge(from, symbol,
+                        it != ids.end() ? it->second : mint(target));
         }
     }
 

@@ -4,7 +4,8 @@
  *
  * This is the Moore-machine form the paper's predictors take: the state's
  * output is the prediction of the next input bit. Provides subset
- * construction (Section 4.6), Hopcroft minimization, the paper's
+ * construction (Section 4.6), both over a Thompson NFA and directly from
+ * a minimized cover, Hopcroft minimization, the paper's
  * start-state reduction (Section 4.7), reachability trimming, equivalence
  * checking and Graphviz output.
  */
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "automata/nfa.hh"
+#include "logicmin/cover.hh"
 
 namespace autofsm
 {
@@ -100,6 +102,23 @@ class Dfa
      *        FlowError{"subset", BudgetExceeded} (flow/budget.hh).
      */
     static Dfa fromNfa(const Nfa &nfa, int max_states = 0);
+
+    /**
+     * Subset construction for the predictor language of @p cover,
+     * without building the regex or the NFA: the result is identical()
+     * to fromNfa(Nfa::fromRegex(regexFromCover(cover)), max_states).
+     *
+     * Every term of `(0|1)* (t_1 | ... | t_k)` spells N symbols, and the
+     * only NFA states a symbol edge enters are the (cube i, depth j)
+     * positions plus the star's. A subset is therefore a "started" flag
+     * and, per depth j = 1..N, the k-bit row of cubes whose first j
+     * symbols (MSB first) match the last j inputs. Input c maps row j to
+     * row j+1 through a per-depth match mask, row 1 is the mask alone,
+     * and a subset accepts iff row N is non-empty. States are minted in
+     * the same BFS order as fromNfa, so numbering agrees state for
+     * state, and @p max_states is enforced the same way.
+     */
+    static Dfa fromCover(const Cover &cover, int max_states = 0);
 
     /**
      * The trivial one-state machine with constant @p output, used when a

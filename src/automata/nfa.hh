@@ -5,6 +5,8 @@
  * Section 4.6: the regular expression is first turned into an NFA by
  * "a fairly straight forward process of enumerating paths", i.e.
  * Thompson's construction, and then determinized by subset construction.
+ * The design flow skips this step: Dfa::fromCover builds the identical
+ * DFA from the cover, and this path stays as its test oracle.
  */
 
 #ifndef AUTOFSM_AUTOMATA_NFA_HH
@@ -75,8 +77,9 @@ class Nfa
      * construction calls closure() once per (subset, symbol), which
      * made that per-call allocation + clear the dominant cost.
      * Mutating scratch makes closure() non-reentrant: concurrent calls
-     * on the *same* Nfa would race. Each design flow owns its automata
-     * privately, so this holds throughout the codebase.
+     * on the *same* Nfa would race. The design flow builds no NFA
+     * (Dfa::fromCover); the tests and fsm2vhdl each use their own
+     * Nfa on one thread, so this holds throughout the codebase.
      */
     mutable std::vector<uint64_t> markScratch_;
     mutable uint64_t markEpoch_ = 0;

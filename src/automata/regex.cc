@@ -100,4 +100,13 @@ regexFromCover(const Cover &cover)
     return regex;
 }
 
+int64_t
+thompsonStateCount(const Cover &cover)
+{
+    if (cover.empty())
+        return 0;
+    const int64_t k = static_cast<int64_t>(cover.size());
+    return 2 * k * (cover.numVars() + 1) + 2;
+}
+
 } // namespace autofsm

@@ -13,6 +13,7 @@
 #ifndef AUTOFSM_AUTOMATA_REGEX_HH
 #define AUTOFSM_AUTOMATA_REGEX_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,14 @@ class Regex
  * callers special-case it.
  */
 Regex regexFromCover(const Cover &cover);
+
+/**
+ * Number of states Nfa::fromRegex(regexFromCover(@p cover)) builds,
+ * without building it: 2 per symbol of each of the k terms of N
+ * symbols, 2 per alternation joining them, 4 for the `(0|1)*` prefix,
+ * i.e. 2k(N+1) + 2. An empty cover has no NFA and counts 0.
+ */
+int64_t thompsonStateCount(const Cover &cover);
 
 } // namespace autofsm
 

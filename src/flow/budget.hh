@@ -22,6 +22,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -106,7 +107,8 @@ struct FlowBudget
 {
     /** Wall-clock deadline for the whole run, milliseconds. */
     double deadlineMillis = 0.0;
-    /** Max Thompson NFA states entering subset construction. */
+    /** Max states of the cover's Thompson NFA, in closed form
+     *  (checkThompsonStates; the flow never builds the NFA). */
     int maxNfaStates = 0;
     /** Max DFA states minted during subset construction (checked inside
      *  the construction loop, so an exploding subset stops early). */
@@ -115,6 +117,22 @@ struct FlowBudget
     int maxEspressoIterations = 0;
     /** Max ON+DC minterms a minimization engine will accept. */
     size_t maxMinterms = 0;
+
+    /**
+     * Enforce maxNfaStates before subset construction, given the
+     * @p thompson_states of the cover's Thompson NFA
+     * (thompsonStateCount(), automata/regex.hh).
+     */
+    void
+    checkThompsonStates(int64_t thompson_states) const
+    {
+        if (maxNfaStates > 0 && thompson_states > maxNfaStates) {
+            throw FlowError("subset", ErrorKind::BudgetExceeded,
+                            std::to_string(thompson_states) +
+                                " NFA states > budget " +
+                                std::to_string(maxNfaStates));
+        }
+    }
 
     /** True when every limit is "unlimited" (the default). */
     bool

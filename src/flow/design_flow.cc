@@ -353,10 +353,10 @@ DesignFlow::runStages(const MarkovModel &model, FlowTrace trace,
 
     if (result.cover.empty()) {
         // Nothing to predict 1 on: the constant machine. (Hopcroft would
-        // reduce the general pipeline to this anyway; short-circuiting
-        // avoids building an NFA for the empty language.) The automata
-        // stages are still recorded so every FlowTrace has the same
-        // shape and the state counts stay inspectable.
+        // reduce the general pipeline to this anyway, and the empty
+        // language has no regex.) The automata stages are still recorded
+        // so every FlowTrace has the same shape and the state counts
+        // stay inspectable.
         result.regexText = "(empty)";
         result.beforeReduction = Dfa::constant(0);
         result.fsm = result.beforeReduction;
@@ -371,13 +371,11 @@ DesignFlow::runStages(const MarkovModel &model, FlowTrace trace,
     }
 
     try {
-        std::optional<Regex> regex;
         {
             deadline.check("regex");
             obs::SpanScope span(tracer, "flow.regex");
             AUTOFSM_FAILPOINT("flow.regex");
-            regex = regexFromCover(result.cover);
-            result.regexText = regex->toString();
+            result.regexText = regexFromCover(result.cover).toString();
             recordStage(out.trace, FlowStage::Regex, span,
                         static_cast<int64_t>(result.cover.size()),
                         "terms");
@@ -387,17 +385,10 @@ DesignFlow::runStages(const MarkovModel &model, FlowTrace trace,
             deadline.check("subset");
             obs::SpanScope span(tracer, "flow.subset");
             AUTOFSM_FAILPOINT("flow.subset");
-            const Nfa nfa = Nfa::fromRegex(*regex);
-            if (options_.budget.maxNfaStates > 0 &&
-                nfa.numStates() > options_.budget.maxNfaStates) {
-                throw FlowError(
-                    "subset", ErrorKind::BudgetExceeded,
-                    std::to_string(nfa.numStates()) +
-                        " NFA states > budget " +
-                        std::to_string(options_.budget.maxNfaStates));
-            }
+            options_.budget.checkThompsonStates(
+                thompsonStateCount(result.cover));
             result.beforeReduction =
-                Dfa::fromNfa(nfa, options_.budget.maxDfaStates);
+                Dfa::fromCover(result.cover, options_.budget.maxDfaStates);
             result.statesSubset = result.beforeReduction.numStates();
             recordStage(out.trace, FlowStage::Subset, span,
                         result.statesSubset, "states");

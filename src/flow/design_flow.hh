@@ -34,7 +34,7 @@ enum class FlowStage
     Patterns,    ///< partition histories into 1 / 0 / don't-care sets
     Minimize,    ///< two-level logic minimization of the predict-1 set
     Regex,       ///< cover -> (0|1)*(t1|...|tk) regular expression
-    Subset,      ///< Thompson NFA + subset construction (nfa->dfa)
+    Subset,      ///< cover -> DFA over (cube, depth) position sets
     Hopcroft,    ///< DFA minimization
     StartReduce, ///< start-state (transient start-up) reduction
 };

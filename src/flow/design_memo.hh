@@ -5,7 +5,7 @@
  * Distinct branches (and cross-training folds) frequently produce
  * identical history partitions even when their Markov counts differ —
  * e.g. two loop branches whose tables scale together — so the
- * minimize -> regex -> NFA -> DFA -> Hopcroft -> start-reduce tail
+ * minimize -> regex -> subset -> Hopcroft -> start-reduce tail
  * would be recomputed on byte-identical inputs. `BatchDesigner`'s
  * per-batch memo only catches *identical models inside one batch*; this
  * process-wide cache is keyed on what the tail actually consumes: the

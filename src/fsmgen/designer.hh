@@ -3,8 +3,8 @@
  * The end-to-end automated FSM predictor design flow (Section 4).
  *
  * trace -> Markov model -> pattern sets -> minimized cover -> regular
- * expression -> NFA -> DFA -> Hopcroft minimization -> start-state
- * reduction. The result carries the artifacts of every stage so examples,
+ * expression -> DFA (subset construction, straight from the cover) ->
+ * Hopcroft minimization -> start-state reduction. The result carries the artifacts of every stage so examples,
  * benches and tests can inspect intermediate products (e.g. Figure 1
  * shows the machine both before and after start-state reduction).
  *

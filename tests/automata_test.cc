@@ -1,14 +1,17 @@
 /**
  * @file
  * Tests for the automata substrate: regex building, Thompson NFA, subset
- * construction, Hopcroft minimization and start-state reduction.
+ * construction (over the NFA and directly from a cover), Hopcroft
+ * minimization and start-state reduction.
  */
 
 #include <gtest/gtest.h>
 
 #include "automata/dfa.hh"
+#include "automata/dfa_io.hh"
 #include "automata/nfa.hh"
 #include "automata/regex.hh"
+#include "flow/budget.hh"
 #include "support/rng.hh"
 
 namespace autofsm
@@ -190,6 +193,117 @@ TEST(DfaTest, DotOutputMentionsStatesAndEdges)
     EXPECT_NE(dot.find("s0"), std::string::npos);
     EXPECT_NE(dot.find("[1]"), std::string::npos);
     EXPECT_NE(dot.find("init -> s0"), std::string::npos);
+}
+
+/** The regex -> Thompson -> subset path that Dfa::fromCover replaces. */
+Dfa
+subsetOracle(const Cover &cover, int max_states = 0)
+{
+    return Dfa::fromNfa(Nfa::fromRegex(regexFromCover(cover)), max_states);
+}
+
+/** What() of the FlowError @p build throws, or "" if it throws none. */
+template <typename Build>
+std::string
+subsetBudgetError(Build build)
+{
+    try {
+        build();
+    } catch (const FlowError &e) {
+        EXPECT_EQ(e.stage(), "subset");
+        EXPECT_EQ(e.kind(), ErrorKind::BudgetExceeded);
+        return e.what();
+    }
+    return "";
+}
+
+/**
+ * Dfa::fromCover against the oracle on @p cover: the same DFA state for
+ * state, the same reduced machine, the same budget edge, and the closed
+ * Thompson count equal to the built NFA's.
+ */
+void
+expectDirectMatchesSubset(const Cover &cover)
+{
+    SCOPED_TRACE("N=" + std::to_string(cover.numVars()) +
+                 " k=" + std::to_string(cover.size()));
+    const Dfa oracle = subsetOracle(cover);
+    const Dfa direct = Dfa::fromCover(cover);
+    ASSERT_TRUE(direct.identical(oracle))
+        << direct.numStates() << " vs " << oracle.numStates() << " states";
+    EXPECT_EQ(dfaToText(direct.minimizeHopcroft().steadyStateReduce()),
+              dfaToText(oracle.minimizeHopcroft().steadyStateReduce()));
+    EXPECT_EQ(thompsonStateCount(cover),
+              Nfa::fromRegex(regexFromCover(cover)).numStates());
+
+    const int count = oracle.numStates();
+    const std::string direct_error = subsetBudgetError(
+        [&] { Dfa::fromCover(cover, count - 1); });
+    EXPECT_FALSE(direct_error.empty());
+    EXPECT_EQ(direct_error,
+              subsetBudgetError([&] { subsetOracle(cover, count - 1); }));
+    EXPECT_TRUE(Dfa::fromCover(cover, count).identical(oracle));
+    EXPECT_TRUE(subsetOracle(cover, count).identical(oracle));
+}
+
+/** A random cube over @p n variables, each one specified with @p p. */
+Cube
+randomCube(Rng &rng, int n, double p)
+{
+    Cube cube;
+    for (int bit = 0; bit < n; ++bit) {
+        if (rng.chance(p)) {
+            cube.mask |= 1U << bit;
+            if (rng.chance(0.5))
+                cube.value |= 1U << bit;
+        }
+    }
+    return cube;
+}
+
+TEST(DfaTest, DirectCoverConstructionMatchesSubset)
+{
+    expectDirectMatchesSubset(paperCover());
+
+    // Seeded random covers across every history length. Fewer, more
+    // specified cubes at large N keep the oracle's state count small.
+    Rng rng(0x5eedc0de);
+    for (int n = 1; n <= 16; ++n) {
+        for (int trial = 0; trial < 8; ++trial) {
+            Cover cover(n);
+            const int k = 1 + static_cast<int>(rng.below(n <= 10 ? 16 : 8));
+            for (int i = 0; i < k; ++i)
+                cover.add(randomCube(rng, n, n <= 10 ? 0.6 : 0.7));
+            expectDirectMatchesSubset(cover);
+        }
+    }
+
+    // Cube counts on both sides of the 64-bit row-word edges.
+    for (const int k : {1, 63, 64, 65, 129}) {
+        Cover cover(7);
+        for (int i = 0; i < k; ++i)
+            cover.add(randomCube(rng, 7, 0.7));
+        expectDirectMatchesSubset(cover);
+    }
+
+    // One all-don't-care cube: every started state predicts 1.
+    Cover any(3);
+    any.add(Cube(0, 0));
+    expectDirectMatchesSubset(any);
+
+    // Every minterm: the full on-set, one cube per history.
+    for (int n = 1; n <= 6; ++n) {
+        Cover all(n);
+        for (uint32_t m = 0; m < (1u << n); ++m)
+            all.add(Cube::minterm(m, n));
+        expectDirectMatchesSubset(all);
+    }
+
+    // Duplicate and contained cubes stay separate positions.
+    Cover overlap(4);
+    for (const char *pattern : {"1x0x", "1x0x", "110x", "1101", "xxx1"})
+        overlap.add(Cube::fromPattern(pattern));
+    expectDirectMatchesSubset(overlap);
 }
 
 /**

@@ -245,6 +245,51 @@ TEST(DesignFlowTest, RecordsStagesForConstantMachine)
     EXPECT_EQ(flow.trace.find(FlowStage::StartReduce)->metric, 1);
 }
 
+/**
+ * The subset stage's two budgets bite exactly at their edges: a limit
+ * equal to the cover's Thompson count, or to the subset DFA's state
+ * count, designs the unlimited run's machine; one less degrades to the
+ * saturating counter.
+ */
+TEST(DesignFlowTest, SubsetBudgetsHoldAtTheirEdges)
+{
+    FsmDesignOptions options;
+    options.order = 4;
+    for (const auto &trace : syntheticTraces(3, 2000)) {
+        const FlowResult unlimited = DesignFlow(options).runOnTrace(trace);
+        ASSERT_FALSE(unlimited.trace.degraded());
+        const Cover &cover = unlimited.design.cover;
+        ASSERT_FALSE(cover.empty());
+
+        auto runWith = [&](int max_nfa_states, int max_dfa_states) {
+            FsmDesignOptions limited = options;
+            limited.budget.maxNfaStates = max_nfa_states;
+            limited.budget.maxDfaStates = max_dfa_states;
+            return DesignFlow(limited).runOnTrace(trace);
+        };
+        auto expectClean = [&](const FlowResult &result) {
+            EXPECT_FALSE(result.trace.degraded());
+            EXPECT_EQ(result.design.statesSubset,
+                      unlimited.design.statesSubset);
+            EXPECT_TRUE(result.design.fsm.identical(unlimited.design.fsm));
+        };
+        auto expectDegraded = [](const FlowResult &result) {
+            EXPECT_EQ(result.trace.fallbacks(),
+                      std::vector<std::string>{"subset:saturating-counter"});
+            EXPECT_TRUE(
+                result.design.fsm.identical(Dfa::saturatingCounter(2)));
+        };
+
+        const int nfa_states = static_cast<int>(thompsonStateCount(cover));
+        expectClean(runWith(nfa_states, 0));
+        expectDegraded(runWith(nfa_states - 1, 0));
+
+        const int dfa_states = unlimited.design.statesSubset;
+        expectClean(runWith(0, dfa_states));
+        expectDegraded(runWith(0, dfa_states - 1));
+    }
+}
+
 TEST(DesignFlowTest, MismatchedOrderThrows)
 {
     MarkovModel model(3);
