@@ -1,6 +1,7 @@
 #include "bpred/trainer.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -76,6 +77,7 @@ collectBranchModelSweeps(const BranchTrace &trace,
         counters.emplace_back(max_order);
     }
 
+    const auto walk_start = std::chrono::steady_clock::now();
     HistoryRegister global(max_order);
     int pushes = 0; // global outcomes seen, saturating at max_order
     uint32_t index = 0;
@@ -90,6 +92,14 @@ collectBranchModelSweeps(const BranchTrace &trace,
         if (pushes < max_order)
             ++pushes;
         ++index;
+    }
+    // The walk counted for every selected branch at once; credit it to
+    // the first counter so the count stage is reported once.
+    if (count > 0) {
+        counters.front().creditCountMillis(
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - walk_start)
+                .count());
     }
 
     std::vector<BranchModelSweep> sweeps;

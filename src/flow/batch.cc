@@ -172,10 +172,7 @@ BatchDesigner::designRequests(const std::vector<DesignRequest> &requests)
     obs::Tracer *const tracer = obs::currentTracer();
 
     auto runParallel = [this](size_t count, auto &&fn) {
-        if (options_.pool != nullptr)
-            parallelForOn(*options_.pool, count, fn);
-        else
-            parallelFor(count, fn, options_.threads);
+        parallelFor(count, fn, options_.threads);
     };
 
     // Phase 1: resolve every behavior source to a Markov model. A
@@ -375,7 +372,6 @@ BatchDesigner::designRequests(const std::vector<DesignRequest> &requests)
                 }
                 BitslicedOptions replay;
                 replay.threads = options_.threads;
-                replay.pool = options_.pool;
                 const std::vector<uint64_t> misses =
                     replayMachinesBitsliced(machines, words.data(),
                                             outcomes.size(), replay);

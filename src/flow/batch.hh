@@ -30,8 +30,6 @@
 namespace autofsm
 {
 
-class ThreadPool;
-
 /**
  * Order-independent content hash of a model (table entries, order,
  * totals). Equal models hash equal on every platform and run; unequal
@@ -65,20 +63,17 @@ struct RetryPolicy
 /** Execution knobs of a batch run. */
 struct BatchOptions
 {
-    /** Worker threads; 0 means ThreadPool::defaultThreadCount(). */
+    /**
+     * Cap on the threads designing this batch's items, the calling
+     * thread included; 0 means ThreadPool::defaultThreadCount() and 1
+     * runs every item inline, in order. Items run on the process-wide
+     * shared pool (support/thread_pool.hh).
+     */
     unsigned threads = 0;
     /** Design identical models only once (content-hash memo cache). */
     bool memoize = true;
     /** Per-item retry policy (default: no retries). */
     RetryPolicy retry;
-    /**
-     * Run batch items on this long-lived pool instead of spawning
-     * per-call threads (the serve daemon shares one pool across all
-     * dispatches). nullptr (the default) keeps the per-call
-     * `parallelFor` behavior, including inline in-order execution at
-     * threads = 1.
-     */
-    ThreadPool *pool = nullptr;
 };
 
 /** Outcome of one batch item. */

@@ -161,7 +161,7 @@ MultiOrderCounter::consume(const std::vector<int> &bits)
         }
     }
     observations_ += n - warm;
-    countMillis_ += millisSince(start);
+    creditCountMillis(millisSince(start));
 }
 
 void
@@ -211,7 +211,7 @@ MultiOrderCounter::consumeWords(const uint64_t *words, size_t bits)
         }
     }
     observations_ += bits - warm;
-    countMillis_ += millisSince(start);
+    creditCountMillis(millisSince(start));
 }
 
 MultiOrderProfile
@@ -322,7 +322,8 @@ MultiOrderCounter::finish(const std::vector<int> &orders)
         telemetry.runs.inc();
         telemetry.observations.inc(observations_);
         telemetry.warmupObservations.inc(replayed);
-        telemetry.countMillis.observe(countMillis_);
+        if (countTimed_)
+            telemetry.countMillis.observe(countMillis_);
         telemetry.foldMillis.observe(profile.stats_.foldMillis);
         telemetry.replayMillis.observe(profile.stats_.replayMillis);
     }

@@ -138,9 +138,23 @@ class MultiOrderCounter
     void consumeWords(const uint64_t *words, size_t bits);
 
     /**
+     * Credit @p millis of counting time: the caller's timed walk of
+     * observe() calls. A walk that feeds several counters is credited
+     * to one of them, so the count stage is reported once per walk.
+     */
+    void
+    creditCountMillis(double millis)
+    {
+        countMillis_ += millis;
+        countTimed_ = true;
+    }
+
+    /**
      * Fold the accumulated counts down to every order of @p orders
      * (each in [1, maxOrder()]; duplicates collapse) and replay the
      * warm-up edges. Terminal: the counter's counts are consumed.
+     * The count stage is observed only when it was timed (consume,
+     * consumeWords or creditCountMillis ran).
      */
     MultiOrderProfile finish(const std::vector<int> &orders);
 
@@ -157,6 +171,7 @@ class MultiOrderCounter
     bool flat_;
     uint64_t observations_ = 0;
     double countMillis_ = 0.0;
+    bool countTimed_ = false;
     std::vector<HistoryCounts> dense_;
     std::unordered_map<uint32_t, HistoryCounts> sparse_;
     std::vector<WarmupEntry> warmup_;

@@ -54,8 +54,74 @@ metricKindName(MetricKind kind)
     return "?";
 }
 
+MetricsRegistry::Shard *
+MetricsRegistry::ShardSet::add()
+{
+    auto shard = std::make_unique<Shard>(kShardSlots);
+    Shard *const raw = shard.get();
+    std::lock_guard<std::mutex> lock(mutex);
+    live.push_back(std::move(shard));
+    return raw;
+}
+
+void
+MetricsRegistry::ShardSet::retire(Shard *shard)
+{
+    std::lock_guard<std::mutex> lock(mutex);
+    if (retiredCounts.empty()) {
+        retiredCounts.assign(kShardSlots, 0);
+        retiredSums.assign(kShardSlots, 0.0);
+    }
+    for (size_t i = 0; i < kShardSlots; ++i) {
+        const uint64_t raw =
+            shard->slots[i].load(std::memory_order_relaxed);
+        retiredCounts[i] += raw;
+        retiredSums[i] += std::bit_cast<double>(raw);
+    }
+    const auto it = std::find_if(
+        live.begin(), live.end(),
+        [shard](const auto &s) { return s.get() == shard; });
+    *it = std::move(live.back());
+    live.pop_back();
+}
+
+struct MetricsRegistry::ThreadShards
+{
+    struct Entry
+    {
+        std::shared_ptr<ShardSet> set;
+        Shard *shard = nullptr;
+    };
+
+    ~ThreadShards()
+    {
+        retired = true;
+        cachedId = 0;
+        cachedShard = nullptr;
+        for (auto &[id, entry] : byRegistry)
+            entry.set->retire(entry.shard);
+    }
+
+    // One-entry cache of shardForThread(): almost every process uses
+    // exactly one registry (globalMetrics()), so the common case is two
+    // loads and a compare. Trivially destructible, so still usable
+    // while the thread exits.
+    static thread_local uint64_t cachedId;
+    static thread_local Shard *cachedShard;
+    /** Set once this thread's shards have been retired. */
+    static thread_local bool retired;
+
+    std::unordered_map<uint64_t, Entry> byRegistry;
+};
+
+thread_local uint64_t MetricsRegistry::ThreadShards::cachedId = 0;
+thread_local MetricsRegistry::Shard *
+    MetricsRegistry::ThreadShards::cachedShard = nullptr;
+thread_local bool MetricsRegistry::ThreadShards::retired = false;
+
 MetricsRegistry::MetricsRegistry()
-    : id_(next_registry_id.fetch_add(1, std::memory_order_relaxed))
+    : id_(next_registry_id.fetch_add(1, std::memory_order_relaxed)),
+      shards_(std::make_shared<ShardSet>())
 {
 }
 
@@ -64,27 +130,29 @@ MetricsRegistry::~MetricsRegistry() = default;
 MetricsRegistry::Shard *
 MetricsRegistry::shardForThread()
 {
-    // One-entry cache: almost every process uses exactly one registry
-    // (globalMetrics()), so the common case is two loads and a compare.
-    thread_local uint64_t cached_id = 0;
-    thread_local Shard *cached_shard = nullptr;
-    if (cached_id == id_)
-        return cached_shard;
+    if (ThreadShards::cachedId == id_)
+        return ThreadShards::cachedShard;
 
-    // Slow path: find or create this thread's shard for this registry.
-    // The map holds shared_ptrs so a shard outlives whichever of
-    // {thread, registry} dies first.
-    thread_local std::unordered_map<uint64_t, std::shared_ptr<Shard>>
-        shards_of_thread;
-    std::shared_ptr<Shard> &entry = shards_of_thread[id_];
-    if (!entry) {
-        entry = std::make_shared<Shard>(kShardSlots);
-        std::lock_guard<std::mutex> lock(mutex_);
-        shards_.push_back(entry);
+    Shard *shard = nullptr;
+    if (ThreadShards::retired) {
+        // A write from another thread-local's destructor after this
+        // thread retired its shards: the new shard stays in the set
+        // (never retired) until the set itself dies.
+        shard = shards_->add();
+    } else {
+        // Slow path: find or create this thread's shard for this
+        // registry.
+        thread_local ThreadShards mine;
+        ThreadShards::Entry &entry = mine.byRegistry[id_];
+        if (entry.shard == nullptr) {
+            entry.set = shards_;
+            entry.shard = shards_->add();
+        }
+        shard = entry.shard;
     }
-    cached_id = id_;
-    cached_shard = entry.get();
-    return cached_shard;
+    ThreadShards::cachedId = id_;
+    ThreadShards::cachedShard = shard;
+    return shard;
 }
 
 MetricsRegistry::RegisteredMetric
@@ -198,10 +266,18 @@ MetricsRegistry::snapshot() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
 
-    // Merge all shards once into a flat slot image.
+    // Merge the retired totals and every live shard once into a flat
+    // slot image.
     std::vector<uint64_t> merged(nextSlot_, 0);
     std::vector<double> merged_sums(nextSlot_, 0.0);
-    for (const auto &shard : shards_) {
+    std::lock_guard<std::mutex> shards_lock(shards_->mutex);
+    if (!shards_->retiredCounts.empty()) {
+        std::copy_n(shards_->retiredCounts.begin(), nextSlot_,
+                    merged.begin());
+        std::copy_n(shards_->retiredSums.begin(), nextSlot_,
+                    merged_sums.begin());
+    }
+    for (const auto &shard : shards_->live) {
         for (size_t i = 0; i < nextSlot_; ++i) {
             const uint64_t raw =
                 shard->slots[i].load(std::memory_order_relaxed);
@@ -256,20 +332,34 @@ void
 MetricsRegistry::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &shard : shards_) {
-        for (auto &slot : shard->slots)
-            slot.store(0, std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> shards_lock(shards_->mutex);
+        for (const auto &shard : shards_->live) {
+            for (auto &slot : shard->slots)
+                slot.store(0, std::memory_order_relaxed);
+        }
+        shards_->retiredCounts.clear();
+        shards_->retiredSums.clear();
     }
     for (const auto &gauge : gauges_)
         gauge->store(std::bit_cast<uint64_t>(0.0),
                      std::memory_order_relaxed);
 }
 
+size_t
+MetricsRegistry::liveShardCount() const
+{
+    std::lock_guard<std::mutex> lock(shards_->mutex);
+    return shards_->live.size();
+}
+
 MetricsRegistry &
 globalMetrics()
 {
-    static MetricsRegistry registry;
-    return registry;
+    // Never destroyed: the shared pool's workers (support/thread_pool.hh)
+    // outlive static destruction and may still record a finished job.
+    static MetricsRegistry *const registry = new MetricsRegistry;
+    return *registry;
 }
 
 } // namespace autofsm::obs

@@ -9,6 +9,9 @@
  *    shard, so an increment is one relaxed atomic add on a cache line no
  *    other thread writes (the atomic only orders the snapshot reader;
  *    there is never write contention). `snapshot()` merges the shards.
+ *    A thread's shard is retired when the thread exits: its totals
+ *    fold into a registry-level accumulator and its memory is freed,
+ *    so short-lived threads do not grow the registry.
  *  - **Zero when off.** A disabled registry short-circuits before
  *    touching thread-local state, and compiling with
  *    `-DAUTOFSM_NO_TELEMETRY` removes the instrumentation entirely
@@ -214,6 +217,10 @@ class MetricsRegistry
     /** Zero every value (registrations stay). For tests and benches. */
     void reset();
 
+    /** Shards of threads still alive that have written to this
+     *  registry (retired shards excluded). For tests. */
+    size_t liveShardCount() const;
+
   private:
     friend class Counter;
     friend class Gauge;
@@ -225,6 +232,31 @@ class MetricsRegistry
         /** Written only by the owning thread; read by snapshot(). */
         std::vector<std::atomic<uint64_t>> slots;
     };
+
+    /**
+     * The live shards plus what retired ones left behind. Jointly owned
+     * by the registry and every thread holding a shard in it, so a
+     * thread that exits after the registry died still retires into
+     * valid memory.
+     */
+    struct ShardSet
+    {
+        /** A new shard, owned by the set until retire(). */
+        Shard *add();
+        /** Fold @p shard's slots into the retired totals and free it. */
+        void retire(Shard *shard);
+
+        std::mutex mutex;
+        std::vector<std::unique_ptr<Shard>> live;
+        /** Per-slot totals of retired shards, summed both as integers
+         *  (counts) and as bit-cast doubles (histogram sums), exactly as
+         *  snapshot() merges live shards. Empty until a retirement. */
+        std::vector<uint64_t> retiredCounts;
+        std::vector<double> retiredSums;
+    };
+
+    /** This thread's shards across registries; retires them on exit. */
+    struct ThreadShards;
 
     struct MetricInfo
     {
@@ -262,12 +294,13 @@ class MetricsRegistry
     std::vector<MetricInfo> metrics_;
     std::unordered_map<std::string, size_t> byKey_;
     size_t nextSlot_ = 0;
-    std::vector<std::shared_ptr<Shard>> shards_;
+    const std::shared_ptr<ShardSet> shards_;
     /** Gauge cells; pointers stay stable across growth (unique_ptr). */
     std::vector<std::unique_ptr<std::atomic<uint64_t>>> gauges_;
 };
 
-/** The process-wide registry every subsystem reports into. */
+/** The process-wide registry every subsystem reports into; it lives
+ *  until the process ends (it is never destroyed). */
 MetricsRegistry &globalMetrics();
 
 /**

@@ -233,7 +233,6 @@ Server::start()
             std::make_shared<store::ArtifactStore>(storeOptions));
     }
     listener_ = listenOn(options_.port, &port_);
-    pool_ = std::make_unique<ThreadPool>(options_.workers);
     // The private tracer is always armed: traced requests need spans on
     // demand and slow requests are only identified after the fact.
     tracer_.enable(true);
@@ -276,7 +275,6 @@ Server::shutdown()
             connection->reader.join();
     }
     listener_.close();
-    pool_.reset(); // drain-on-destruct
     setQueueDepthGauge(0);
 }
 
@@ -516,7 +514,7 @@ Server::dispatchLoop()
         if (!requests.empty()) {
             BatchOptions batchOptions;
             batchOptions.retry = options_.retry;
-            batchOptions.pool = pool_.get();
+            batchOptions.threads = options_.workers;
             BatchDesigner designer({}, batchOptions);
             // Bind the daemon's tracer so the batch engine (and the
             // design flows it fans across the pool) records here.

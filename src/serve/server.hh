@@ -10,7 +10,7 @@
  *                 bounded per-class queues (interactive ▶ batch ▶ bulk)
  *                             │
  *                             ▼
- *          dispatcher thread ──▶ BatchDesigner on the shared ThreadPool
+ *          dispatcher thread ──▶ BatchDesigner on the shared pool
  *                             │
  *                             ▼
  *               response frames (per-connection write mutex)
@@ -23,9 +23,10 @@
  * jobs per BatchDesigner call, so identical concurrent requests hit
  * the batch memo.
  *
- * Shutdown is a drain, mirroring the ThreadPool's drain-on-destruct
- * semantics: new admissions are refused immediately, every admitted
- * request still gets its response, then connections close.
+ * Shutdown is a drain: new admissions are refused immediately, every
+ * admitted request still gets its response, then connections close.
+ * Design work needs no separate drain, because each dispatch's
+ * BatchDesigner call is synchronous on the dispatcher thread.
  */
 
 #ifndef AUTOFSM_SERVE_SERVER_HH
@@ -47,7 +48,6 @@
 #include "obs/trace_context.hh"
 #include "serve/frame.hh"
 #include "serve/net.hh"
-#include "support/thread_pool.hh"
 
 namespace autofsm::serve
 {
@@ -57,7 +57,8 @@ struct ServeOptions
 {
     /** TCP port on 127.0.0.1; 0 picks a free one (see Server::port). */
     uint16_t port = 0;
-    /** Design worker threads; 0 means ThreadPool::defaultThreadCount(). */
+    /** Design concurrency per dispatch: the BatchOptions::threads cap
+     *  on the shared pool; 0 means ThreadPool::defaultThreadCount(). */
     unsigned workers = 0;
     /** Admission bound: queued-but-undispatched requests across classes. */
     size_t maxQueueDepth = 256;
@@ -204,7 +205,6 @@ class Server
     uint16_t port_ = 0;
 
     Socket listener_;
-    std::unique_ptr<ThreadPool> pool_;
     std::thread acceptThread_;
     std::thread dispatchThread_;
 

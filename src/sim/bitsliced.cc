@@ -639,11 +639,9 @@ replayMachinesBitsliced(const std::vector<BitslicedMachine> &machines,
     }
 
     const size_t fullWords = records >> 6;
-    const unsigned resolvedThreads =
-        options.pool != nullptr
-            ? options.pool->threadCount()
-            : (options.threads != 0 ? options.threads
-                                    : ThreadPool::defaultThreadCount());
+    const unsigned resolvedThreads = options.threads != 0
+        ? options.threads
+        : ThreadPool::defaultThreadCount();
     size_t shardCount = options.shards;
     if (shardCount == 0) {
         shardCount = resolvedThreads <= 1
@@ -725,10 +723,7 @@ replayMachinesBitsliced(const std::vector<BitslicedMachine> &machines,
     };
 
     const size_t taskCount = groupCount * shardCount;
-    if (options.pool != nullptr)
-        parallelForOn(*options.pool, taskCount, runTask);
-    else
-        parallelFor(taskCount, runTask, resolvedThreads);
+    parallelFor(taskCount, runTask, resolvedThreads);
 
     // Deterministic merge: each machine's shard tallies partition its
     // predictions exactly, so plain summation reproduces the serial
@@ -755,10 +750,7 @@ replayMachinesBitsliced(const std::vector<BitslicedMachine> &machines,
         result[mi] = replayReference(*machines[mi].fsm, words, records,
                                      machines[mi].positions);
     };
-    if (options.pool != nullptr)
-        parallelForOn(*options.pool, serialMachines.size(), runSerial);
-    else
-        parallelFor(serialMachines.size(), runSerial, resolvedThreads);
+    parallelFor(serialMachines.size(), runSerial, resolvedThreads);
 
     if (stats != nullptr) {
         stats->groups = groupCount;

@@ -32,7 +32,7 @@
  * advance and no word ever falls back to per-bit stepping (only the
  * trace's partial final word does).
  *
- * Long traces additionally shard across the ThreadPool: word-aligned
+ * Long traces additionally shard across the shared pool: word-aligned
  * shards, each started from the *exact* machine state at its boundary.
  * The boundary state is recovered by replaying an all-states vector
  * over a warm-up window ending at the boundary — if every start state
@@ -58,8 +58,6 @@
 namespace autofsm
 {
 
-class ThreadPool;
-
 /** One machine to replay over the shared outcome bitstream. */
 struct BitslicedMachine
 {
@@ -75,8 +73,9 @@ struct BitslicedMachine
 /** Replay knobs; the defaults match the calling context's resources. */
 struct BitslicedOptions
 {
-    /** Worker threads (0 = one per hardware core; 1 = inline serial).
-     *  Ignored when @ref pool is set. */
+    /** Cap on the threads running shard/group tasks, the caller
+     *  included (0 = one per hardware core; 1 = inline serial). Tasks
+     *  run on the shared pool (support/thread_pool.hh). */
     unsigned threads = 0;
     /** Trace shards (0 = auto from threads and length; 1 = unsharded).
      *  Any value yields bit-identical tallies. */
@@ -84,8 +83,6 @@ struct BitslicedOptions
     /** Permit the AVX2 kernel when compiled in and CPUID-approved.
      *  False forces the scalar lane kernel (for differential tests). */
     bool allowSimd = true;
-    /** Run shard/group tasks on this pool instead of a transient one. */
-    ThreadPool *pool = nullptr;
 };
 
 /** Facts about one engine run, for benches and tests. */

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 
 #include "sim/sweep.hh"
 #include "support/thread_pool.hh"
@@ -233,23 +232,11 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
 
     SweepPointTimer timer(SweepEngine::Nested);
 
-    ThreadPool *pool = options.pool;
-    std::unique_ptr<ThreadPool> owned;
-    const unsigned thread_count =
-        pool ? std::max(1u, pool->threadCount())
-             : (options.threads ? options.threads
-                                : ThreadPool::defaultThreadCount());
-    if (!pool && thread_count > 1 && n > 0) {
-        owned = std::make_unique<ThreadPool>(thread_count);
-        pool = owned.get();
-    }
+    const unsigned thread_count = options.threads
+        ? options.threads
+        : ThreadPool::defaultThreadCount();
     const auto runParallel = [&](size_t count, const auto &fn) {
-        if (pool) {
-            parallelForOn(*pool, count, fn);
-        } else {
-            for (size_t i = 0; i < count; ++i)
-                fn(i);
-        }
+        parallelFor(count, fn, thread_count);
     };
 
     // Position lists and SIMD lane accumulators are 32-bit; refuse the
@@ -344,7 +331,7 @@ nestedSweep(const NestedSweepRequest &request, const PackedTrace &trace,
     // outcomes, read straight out of the packed outcome words.
     const size_t word_count = (n + 63) / 64;
     size_t chunk_count = 1;
-    if ((do_gshare || partition_btb) && pool)
+    if ((do_gshare || partition_btb) && thread_count > 1)
         chunk_count = std::max<size_t>(
             std::min(word_count, size_t{thread_count} * 4), 1);
     out.stats.historyShards = do_gshare ? chunk_count : 0;

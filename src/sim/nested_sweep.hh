@@ -69,8 +69,6 @@
 namespace autofsm
 {
 
-class ThreadPool;
-
 /** The size families one nested pass services. Any family may be
  *  empty; points are returned in the order given here. */
 struct NestedSweepRequest
@@ -83,8 +81,9 @@ struct NestedSweepRequest
 /** Engine knobs; defaults match the calling context's resources. */
 struct NestedSweepOptions
 {
-    /** Worker threads (0 = one per hardware core; 1 = inline serial).
-     *  Ignored when @ref pool is set. */
+    /** Cap on the threads running tasks, the caller included (0 = one
+     *  per hardware core; 1 = inline serial). Tasks run on the shared
+     *  pool (support/thread_pool.hh). */
     unsigned threads = 0;
     /** Residue classes per shardable family (0 = auto from threads;
      *  1 = unsharded). Any value yields bit-identical tallies. */
@@ -92,8 +91,6 @@ struct NestedSweepOptions
     /** Permit the AVX2 gather when compiled in and CPUID-approved.
      *  False forces the scalar kernel (for differential tests). */
     bool allowSimd = true;
-    /** Run tasks on this pool instead of a transient one. */
-    ThreadPool *pool = nullptr;
 };
 
 /** One evaluated sweep point (same name/area as the predictor class). */

@@ -1,13 +1,16 @@
 /**
  * @file
- * A small fixed-size thread pool and a blocking parallel-for built on it.
+ * A small fixed-size thread pool, the one process-wide instance of it
+ * (sharedPool), and a blocking parallel-for built on that instance.
  *
- * The batch design pipeline (src/flow) fans per-branch FSM design work out
- * across cores with these utilities. Tasks are coarse (a whole design-flow
- * run each), so the implementation favors simplicity over lock-free
- * cleverness: one mutex-protected queue, dynamic index claiming for load
- * balance, and deterministic exception reporting (the lowest-index failure
- * wins, independent of thread scheduling).
+ * Every parallel fan-out in the library (batch design, bit-sliced
+ * replay, the nested sweep, runFigure4 and runFigure5All) goes through
+ * parallelFor, so a process starts its workers once and then reuses
+ * them however many passes it runs. Tasks are coarse, so the
+ * implementation favors simplicity over lock-free cleverness: one
+ * mutex-protected queue, dynamic index claiming for load balance, and
+ * deterministic exception reporting (the lowest-index failure wins,
+ * independent of thread scheduling).
  */
 
 #ifndef AUTOFSM_SUPPORT_THREAD_POOL_HH
@@ -21,8 +24,10 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hh"
@@ -31,10 +36,14 @@
 namespace autofsm
 {
 
+class ThreadPool;
+
+inline ThreadPool &sharedPool();
+
 /**
  * Fixed-size worker pool; jobs are arbitrary void() callables.
  *
- * Jobs are expected to handle their own exceptions (parallelForOn does;
+ * Jobs are expected to handle their own exceptions (parallelFor's do;
  * see its lowest-index-wins contract). A job that *does* throw is
  * contained rather than terminating the process: the worker swallows
  * the exception, counts it in `autofsm_pool_task_exceptions_total`, and
@@ -56,7 +65,6 @@ class ThreadPool
     explicit ThreadPool(unsigned threads = 0)
     {
         const unsigned count = threads ? threads : defaultThreadCount();
-        poolMetrics().threads.set(static_cast<double>(count));
         workers_.reserve(count);
         for (unsigned i = 0; i < count; ++i)
             workers_.emplace_back([this] { workerLoop(); });
@@ -99,6 +107,14 @@ class ThreadPool
     }
 
   private:
+    friend ThreadPool &sharedPool();
+
+    static void
+    publishSharedThreadCount(unsigned count)
+    {
+        poolMetrics().threads.set(static_cast<double>(count));
+    }
+
     struct Job
     {
         std::function<void()> fn;
@@ -122,30 +138,32 @@ class ThreadPool
     static PoolMetrics &
     poolMetrics()
     {
-        static PoolMetrics metrics = [] {
+        // Never destroyed: shared-pool workers may still be recording a
+        // finished job while the process runs its static destructors.
+        static PoolMetrics *const metrics = [] {
             obs::MetricsRegistry &registry = obs::globalMetrics();
-            PoolMetrics m;
-            m.threads = registry.gauge(
+            auto *m = new PoolMetrics;
+            m->threads = registry.gauge(
                 "autofsm_pool_threads",
-                "Worker count of the most recently constructed pool.");
-            m.tasks = registry.counter(
+                "Worker count of the shared pool.");
+            m->tasks = registry.counter(
                 "autofsm_pool_tasks_total",
                 "Jobs executed by thread-pool workers.");
-            m.taskExceptions = registry.counter(
+            m->taskExceptions = registry.counter(
                 "autofsm_pool_task_exceptions_total",
                 "Jobs that threw out of the worker (contract breach; "
                 "the exception is swallowed).");
-            m.wait = registry.histogram(
+            m->wait = registry.histogram(
                 "autofsm_pool_task_wait_millis",
                 "Queue wait between submit and dequeue.",
                 obs::defaultLatencyBucketsMillis());
-            m.run = registry.histogram(
+            m->run = registry.histogram(
                 "autofsm_pool_task_run_millis",
                 "Job execution time on a worker.",
                 obs::defaultLatencyBucketsMillis());
             return m;
         }();
-        return metrics;
+        return *metrics;
     }
 
     /** Run a job, containing (and counting) any escaped exception. */
@@ -204,93 +222,109 @@ class ThreadPool
 };
 
 /**
- * Run fn(0) ... fn(count-1) on @p pool and block until all are done.
- *
- * Indices are claimed dynamically, so uneven per-item cost balances
- * across workers. Callers must make fn(i) touch only per-index state (or
- * synchronize themselves). Every index runs even if an earlier one threw;
- * afterwards the exception of the *lowest* failing index is rethrown —
- * deterministic regardless of interleaving.
+ * The process-wide worker pool every parallel fan-out runs on, started
+ * on first use with defaultThreadCount() workers and never torn down
+ * (idle workers cost nothing, and a pool destroyed during static
+ * destruction could outlive statics its jobs touch).
  */
-template <typename Fn>
-void
-parallelForOn(ThreadPool &pool, size_t count, const Fn &fn)
+inline ThreadPool &
+sharedPool()
 {
-    if (count == 0)
-        return;
-    if (pool.threadCount() <= 1 || count == 1) {
-        for (size_t i = 0; i < count; ++i)
-            fn(i);
-        return;
-    }
-
-    struct Shared
-    {
-        std::atomic<size_t> next{0};
-        std::mutex mutex;
-        std::condition_variable done;
-        size_t running = 0;
-        size_t firstBadIndex = 0;
-        std::exception_ptr error;
-    } shared;
-
-    const size_t jobs =
-        std::min<size_t>(pool.threadCount(), count);
-    {
-        std::lock_guard<std::mutex> lock(shared.mutex);
-        shared.running = jobs;
-    }
-
-    auto body = [count, &fn, &shared] {
-        size_t i;
-        while ((i = shared.next.fetch_add(1)) < count) {
-            try {
-                AUTOFSM_FAILPOINT("pool.task");
-                fn(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(shared.mutex);
-                if (!shared.error || i < shared.firstBadIndex) {
-                    shared.error = std::current_exception();
-                    shared.firstBadIndex = i;
-                }
-            }
-        }
-        // Notify while holding the mutex: the waiter destroys `shared`
-        // as soon as it observes running == 0, so an unlocked notify
-        // could touch a dead condition variable.
-        std::lock_guard<std::mutex> lock(shared.mutex);
-        if (--shared.running == 0)
-            shared.done.notify_all();
-    };
-
-    for (size_t j = 0; j < jobs; ++j)
-        pool.submit(body);
-
-    std::unique_lock<std::mutex> lock(shared.mutex);
-    shared.done.wait(lock, [&shared] { return shared.running == 0; });
-    if (shared.error)
-        std::rethrow_exception(shared.error);
+    static ThreadPool *const pool = [] {
+        auto *created = new ThreadPool(ThreadPool::defaultThreadCount());
+        ThreadPool::publishSharedThreadCount(created->threadCount());
+        return created;
+    }();
+    return *pool;
 }
 
 /**
- * Convenience parallel-for with a transient pool.
+ * Run fn(0) ... fn(count-1) on the shared pool and block until all are
+ * done.
  *
- * @param threads Worker count; 0 means defaultThreadCount(). With one
- *        worker (or one item) the calls run inline on this thread.
+ * The calling thread claims indices alongside up to `threads - 1` pool
+ * helpers, so a nested call from inside a pool job always makes
+ * progress on its own even when every worker is busy: waiting is only
+ * ever for indices some running thread has already claimed. Indices are
+ * claimed dynamically, so uneven per-item cost balances across
+ * participants. Callers must make fn(i) touch only per-index state (or
+ * synchronize themselves). Every index runs even if an earlier one
+ * threw; afterwards the exception of the *lowest* failing index is
+ * rethrown, deterministic regardless of interleaving.
+ *
+ * @param threads Cap on the threads running bodies of this call, the
+ *        caller included; 0 means defaultThreadCount(). With one thread
+ *        (or at most one item) the calls run inline, in order.
  */
 template <typename Fn>
 void
 parallelFor(size_t count, const Fn &fn, unsigned threads = 0)
 {
-    const unsigned resolved =
+    const unsigned cap =
         threads ? threads : ThreadPool::defaultThreadCount();
-    if (resolved <= 1 || count <= 1) {
+    if (cap <= 1 || count <= 1) {
         for (size_t i = 0; i < count; ++i)
             fn(i);
         return;
     }
-    ThreadPool pool(resolved);
-    parallelForOn(pool, count, fn);
+
+    // Jointly owned by the caller and every queued helper: a helper that
+    // dequeues after this call returned finds no index left and touches
+    // neither `fn` (only dereferenced after claiming a live index, which
+    // keeps the caller waiting) nor freed memory.
+    struct Shared
+    {
+        Shared(size_t count, const Fn &fn) : count(count), fn(&fn) {}
+
+        /** Claim and run indices until none are left. */
+        void
+        drain()
+        {
+            size_t i;
+            while ((i = next.fetch_add(1)) < count) {
+                std::exception_ptr failure;
+                try {
+                    AUTOFSM_FAILPOINT("pool.task");
+                    (*fn)(i);
+                } catch (...) {
+                    failure = std::current_exception();
+                }
+                std::lock_guard<std::mutex> lock(mutex);
+                if (failure && (!error || i < firstBadIndex)) {
+                    error = std::move(failure);
+                    firstBadIndex = i;
+                }
+                if (++finished == count)
+                    done.notify_all();
+            }
+        }
+
+        const size_t count;
+        const Fn *const fn;
+        std::atomic<size_t> next{0};
+        std::mutex mutex;
+        std::condition_variable done;
+        /** Indices run to completion; guarded by mutex. */
+        size_t finished = 0;
+        size_t firstBadIndex = 0;
+        std::exception_ptr error;
+    };
+
+    ThreadPool &pool = sharedPool();
+    auto shared = std::make_shared<Shared>(count, fn);
+    const size_t helpers = std::min<size_t>(
+        {size_t{cap} - 1, count - 1, size_t{pool.threadCount()}});
+    for (size_t h = 0; h < helpers; ++h)
+        pool.submit([shared] { shared->drain(); });
+
+    shared->drain();
+    std::unique_lock<std::mutex> lock(shared->mutex);
+    shared->done.wait(lock,
+                      [&shared, count] { return shared->finished == count; });
+    // Move the error out: a late helper may drop the last reference to
+    // `shared`, and the exception must not be freed from that thread.
+    if (std::exception_ptr error = std::exchange(shared->error, nullptr))
+        std::rethrow_exception(error);
 }
 
 } // namespace autofsm

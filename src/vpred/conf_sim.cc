@@ -421,6 +421,7 @@ collectConfidenceModels(const CorrectnessStream &stream,
     std::vector<int> pushes(stream.entries, 0);
     MultiOrderCounter counter(max_order);
 
+    const auto walk_start = std::chrono::steady_clock::now();
     for (size_t i = 0; i < stream.size(); ++i) {
         const uint32_t entry = stream.entry[i];
         const uint32_t correct = stream.correctAt(i) ? 1U : 0U;
@@ -433,6 +434,10 @@ collectConfidenceModels(const CorrectnessStream &stream,
         if (pushes[entry] < max_order)
             ++pushes[entry];
     }
+    counter.creditCountMillis(
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - walk_start)
+            .count());
 
     MultiOrderProfile profile = counter.finish(orders);
     for (MarkovModel *model : models)

@@ -16,7 +16,6 @@
 #include "flow/batch.hh"
 #include "sim/bitsliced.hh"
 #include "support/rng.hh"
-#include "support/thread_pool.hh"
 
 namespace autofsm
 {
@@ -291,7 +290,7 @@ TEST(BitslicedReplay, SimdAndScalarAgree)
     EXPECT_EQ(simd_stats.simd, bitslicedSimdAvailable());
 }
 
-TEST(BitslicedReplay, RunsOnCallerPool)
+TEST(BitslicedReplay, ShardsAcrossThreadCap)
 {
     const size_t kRecords = 20000;
     const std::vector<int> outcomes = randomOutcomes(kRecords, 81);
@@ -301,9 +300,8 @@ TEST(BitslicedReplay, RunsOnCallerPool)
     const std::vector<uint64_t> expected = {
         referenceMisses(counter, outcomes, nullptr)};
 
-    ThreadPool pool(3);
     BitslicedOptions options;
-    options.pool = &pool;
+    options.threads = 3;
     options.shards = 5;
     BitslicedReplayStats stats;
     EXPECT_EQ(replayMachinesBitsliced(machines, words.data(), kRecords,

@@ -11,7 +11,9 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -172,6 +174,115 @@ TEST(ThreadPoolTest, LowestIndexWinsEvenWhenHigherIndexThrowsFirst)
         FAIL() << "expected an exception";
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "boom 0");
+    }
+}
+
+TEST(ThreadPoolTest, NestedParallelForThreeDeepCoversEveryIndexOnce)
+{
+    // Inner calls run from pool workers; the caller claims indices
+    // alongside its helpers, so nesting cannot deadlock even when every
+    // worker is busy in an outer body.
+    const std::vector<size_t> counts = {0, 1, 2, 63, 64, 65};
+    for (unsigned threads = 1; threads <= 8; ++threads) {
+        for (size_t k = 0; k < counts.size(); ++k) {
+            const size_t a = counts[k];
+            const size_t b = counts[(k + 1) % counts.size()];
+            const size_t c = counts[(k + 2) % counts.size()];
+            std::vector<std::atomic<int>> hits(a * b * c);
+            for (auto &h : hits)
+                h = 0;
+            parallelFor(
+                a,
+                [&](size_t i) {
+                    parallelFor(
+                        b,
+                        [&](size_t j) {
+                            parallelFor(
+                                c,
+                                [&](size_t l) {
+                                    hits[(i * b + j) * c + l].fetch_add(1);
+                                },
+                                threads);
+                        },
+                        threads);
+                },
+                threads);
+            for (size_t i = 0; i < hits.size(); ++i) {
+                ASSERT_EQ(hits[i].load(), 1)
+                    << "threads " << threads << " dims " << a << "x" << b
+                    << "x" << c << " index " << i;
+            }
+        }
+    }
+}
+
+TEST(ThreadPoolTest, NestedFailureLowestIndexWins)
+{
+    std::vector<std::atomic<int>> ran(16);
+    for (auto &r : ran)
+        r = 0;
+    try {
+        parallelFor(
+            ran.size(),
+            [&](size_t i) {
+                ran[i].fetch_add(1);
+                parallelFor(
+                    16,
+                    [i](size_t j) {
+                        if ((i == 3 || i == 9) && (j == 5 || j == 11)) {
+                            throw std::runtime_error(std::to_string(i) +
+                                                     "/" +
+                                                     std::to_string(j));
+                        }
+                    },
+                    4);
+            },
+            4);
+        FAIL() << "expected an exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "3/5");
+    }
+    for (const auto &r : ran)
+        EXPECT_EQ(r.load(), 1);
+}
+
+TEST(ThreadPoolTest, BackToBackCallsReuseTheSharedWorkers)
+{
+    // One pool for the process: however many calls run, bodies only
+    // ever execute on its workers or on the calling thread.
+    std::mutex mutex;
+    std::set<std::thread::id> runners;
+    for (int call = 0; call < 1000; ++call) {
+        parallelFor(
+            8,
+            [&](size_t) {
+                std::lock_guard<std::mutex> lock(mutex);
+                runners.insert(std::this_thread::get_id());
+            },
+            8);
+    }
+    EXPECT_LE(runners.size(), ThreadPool::defaultThreadCount() + 1);
+    EXPECT_EQ(sharedPool().threadCount(), ThreadPool::defaultThreadCount());
+}
+
+TEST(ThreadPoolTest, ConcurrentBodiesNeverExceedThreadCap)
+{
+    for (unsigned threads = 1; threads <= 8; ++threads) {
+        std::atomic<unsigned> running{0};
+        std::atomic<unsigned> peak{0};
+        parallelFor(
+            64,
+            [&](size_t) {
+                const unsigned now = running.fetch_add(1) + 1;
+                unsigned seen = peak.load();
+                while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+                }
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+                running.fetch_sub(1);
+            },
+            threads);
+        EXPECT_LE(peak.load(), threads) << "threads " << threads;
+        EXPECT_GE(peak.load(), 1u);
     }
 }
 

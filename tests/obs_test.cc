@@ -11,9 +11,11 @@
  * the byte format in every build mode.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -299,6 +301,88 @@ TEST(MetricsRegistryTest, ConcurrentRegistrationYieldsValidHandles)
     EXPECT_EQ(counters, kThreads * kMetricsPerThread);
     EXPECT_EQ(gauges, kThreads * kMetricsPerThread);
     EXPECT_EQ(histograms, kThreads * kMetricsPerThread);
+}
+
+/**
+ * Regression: every thread that wrote a metric used to keep a 4096-slot
+ * shard in the registry forever, so a process spawning short-lived
+ * threads (per-pass pools, per-connection readers) grew without bound.
+ * Exiting threads now retire their shards into the registry's totals:
+ * the snapshot stays exact and the live shard count stays bounded.
+ */
+TEST(MetricsRegistryTest, ShortLivedThreadsRetireTheirShards)
+{
+    SKIP_IF_NO_TELEMETRY();
+    constexpr int kThreads = 256;
+    constexpr int kWave = 8;
+
+    MetricsRegistry registry;
+    Counter counter = registry.counter("retire_total");
+    Histogram hist =
+        registry.histogram("retire_millis", "", {0.3, 0.6});
+    size_t peak_live = 0;
+    for (int first = 0; first < kThreads; first += kWave) {
+        std::vector<std::thread> wave;
+        for (int t = first; t < first + kWave; ++t) {
+            wave.emplace_back([&, t] {
+                counter.inc(static_cast<uint64_t>(t) + 1);
+                // Quarter steps are exact doubles, so the sum does not
+                // depend on the order shards are folded in.
+                hist.observe(0.25 * (t % 4));
+            });
+        }
+        for (std::thread &thread : wave)
+            thread.join();
+        peak_live = std::max(peak_live, registry.liveShardCount());
+    }
+    EXPECT_EQ(registry.liveShardCount(), 0u);
+    EXPECT_EQ(peak_live, 0u);
+
+    // A live thread's shard is merged alongside the retired totals.
+    counter.inc(1000);
+    EXPECT_EQ(registry.liveShardCount(), 1u);
+
+    const MetricsSnapshot snapshot = registry.snapshot();
+    EXPECT_EQ(findMetric(snapshot, "retire_total")->count,
+              uint64_t{kThreads} * (kThreads + 1) / 2 + 1000);
+    const HistogramValue &value =
+        findMetric(snapshot, "retire_millis")->histogram;
+    EXPECT_EQ(value.count, static_cast<uint64_t>(kThreads));
+    // t % 4 cycles 0, 1, 2, 3: 0.0 and 0.25 land in the first bucket,
+    // 0.5 in the second, 0.75 in +Inf.
+    EXPECT_EQ(value.bucketCounts,
+              (std::vector<uint64_t>{kThreads / 2, kThreads / 4,
+                                     kThreads / 4}));
+    EXPECT_EQ(value.sum, 1.5 * (kThreads / 4));
+
+    // reset() zeroes retired totals along with live shards.
+    registry.reset();
+    const MetricsSnapshot cleared = registry.snapshot();
+    EXPECT_EQ(findMetric(cleared, "retire_total")->count, 0u);
+    EXPECT_EQ(findMetric(cleared, "retire_millis")->histogram.count, 0u);
+    EXPECT_EQ(findMetric(cleared, "retire_millis")->histogram.sum, 0.0);
+}
+
+/** A thread that outlives the registry it wrote to retires its shard
+ *  into memory the thread still co-owns (ASan flags any misstep). */
+TEST(MetricsRegistryTest, ThreadOutlivingRegistryRetiresSafely)
+{
+    SKIP_IF_NO_TELEMETRY();
+    auto registry = std::make_unique<MetricsRegistry>();
+    Counter counter = registry->counter("orphan_total");
+    std::atomic<int> phase{0};
+    std::thread writer([&] {
+        counter.inc();
+        phase.store(1, std::memory_order_release);
+        while (phase.load(std::memory_order_acquire) != 2) {
+        }
+    });
+    while (phase.load(std::memory_order_acquire) != 1) {
+    }
+    EXPECT_EQ(registry->liveShardCount(), 1u);
+    registry.reset();
+    phase.store(2, std::memory_order_release);
+    writer.join();
 }
 
 /**

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "bpred/trainer.hh"
 #include "flow/batch.hh"
 #include "flow/design_flow.hh"
 #include "flow/design_memo.hh"
@@ -246,6 +247,47 @@ TEST(ProfileTest, PublishesProfileGauges)
               static_cast<double>(model.distinctHistories()));
     EXPECT_GT(bytes->value, 0.0);
     EXPECT_GE(runs->count, 1u);
+}
+
+/** The `autofsm_profile_stage_millis{stage="count"}` histogram. */
+obs::HistogramValue
+countStageHistogram()
+{
+    for (const obs::MetricValue &metric :
+         obs::globalMetrics().snapshot().metrics) {
+        if (metric.name == "autofsm_profile_stage_millis" &&
+            metric.labels == obs::Labels{{"stage", "count"}})
+            return metric.histogram;
+    }
+    return {};
+}
+
+TEST(ProfileTest, SharedWalkCreditsCountStageOnce)
+{
+#ifdef AUTOFSM_NO_TELEMETRY
+    GTEST_SKIP() << "built with AUTOFSM_NO_TELEMETRY";
+#endif
+    obs::globalMetrics().enable(true);
+    // Eight branches with random outcomes, so the baseline mispredicts
+    // every one of them and the walk feeds several counters.
+    Rng rng(0x5eed);
+    BranchTrace trace;
+    for (int i = 0; i < 20000; ++i) {
+        trace.push_back({0x1000 + 4 * static_cast<uint64_t>(i % 8),
+                         rng.uniform() < 0.5});
+    }
+    const obs::HistogramValue before = countStageHistogram();
+    const std::vector<BranchModelSweep> sweeps =
+        collectBranchModelSweeps(trace, {4, 6});
+    const obs::HistogramValue after = countStageHistogram();
+
+    ASSERT_GT(sweeps.size(), 1u);
+    EXPECT_EQ(after.count, before.count + 1);
+    EXPECT_GT(after.sum, before.sum);
+    double credited = 0.0;
+    for (const BranchModelSweep &sweep : sweeps)
+        credited += sweep.profile.stats().countMillis;
+    EXPECT_GT(credited, 0.0);
 }
 
 TEST(ProfileTest, PatternsAreInsertionOrderIndependent)
