@@ -27,7 +27,7 @@ namespace
 /** Miss rate of @p fsm on branch @p pc over @p trace (update-on-every-
  *  branch semantics). */
 double
-fsmMissRate(const Dfa &fsm, uint64_t pc, const BranchTrace &trace)
+fsmMissRate(const Dfa &fsm, uint64_t pc, const PackedTrace &trace)
 {
     PredictorFsm machine(fsm);
     uint64_t executions = 0, misses = 0;
@@ -66,8 +66,8 @@ main(int argc, char **argv)
             cachedBranchTrace(name, WorkloadInput::Train, branches);
         const auto test_trace =
             cachedBranchTrace(name, WorkloadInput::Test, branches);
-        const BranchTrace &train = *train_trace;
-        const BranchTrace &test = *test_trace;
+        const PackedTrace &train = *train_trace;
+        const PackedTrace &test = *test_trace;
 
         auto report = [&](double mass, bool unseen_dc) {
             CustomTrainingOptions options;

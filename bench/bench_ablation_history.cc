@@ -23,7 +23,7 @@ namespace
 {
 
 double
-fsmMissRate(const Dfa &fsm, uint64_t pc, const BranchTrace &trace)
+fsmMissRate(const Dfa &fsm, uint64_t pc, const PackedTrace &trace)
 {
     PredictorFsm machine(fsm);
     uint64_t executions = 0, misses = 0;
@@ -63,8 +63,8 @@ main(int argc, char **argv)
             cachedBranchTrace(name, WorkloadInput::Train, branches);
         const auto test_trace =
             cachedBranchTrace(name, WorkloadInput::Test, branches);
-        const BranchTrace &train = *train_trace;
-        const BranchTrace &test = *test_trace;
+        const PackedTrace &train = *train_trace;
+        const PackedTrace &test = *test_trace;
 
         // One profiling pass per benchmark: the worst branch's models at
         // every order come out of a single fold sweep instead of twelve

@@ -47,8 +47,8 @@ loopSection(size_t branches)
             cachedBranchTrace(name, WorkloadInput::Train, branches);
         const auto test_trace =
             cachedBranchTrace(name, WorkloadInput::Test, branches);
-        const BranchTrace &train = *train_trace;
-        const BranchTrace &test = *test_trace;
+        const PackedTrace &train = *train_trace;
+        const PackedTrace &test = *test_trace;
 
         // Find the most-taken-biased branch with occasional exits: the
         // loop shape (taken rate in [0.7, 0.99], enough executions).
@@ -126,15 +126,15 @@ ppmSection(size_t branches)
             cachedBranchTrace(name, WorkloadInput::Train, branches);
         const auto test_trace =
             cachedBranchTrace(name, WorkloadInput::Test, branches);
-        const BranchTrace &train = *train_trace;
-        const BranchTrace &test = *test_trace;
+        const PackedTrace &train = *train_trace;
+        const PackedTrace &test = *test_trace;
 
         // The XScale column is a single-config BTB sweep point; the
         // nested engine runs it through XScaleBtb's fused step.
         NestedSweepRequest btb_request;
         btb_request.btb.push_back(BtbConfig{});
         const double base =
-            nestedSweep(btb_request, *cachedPackedTrace(test_trace))
+            nestedSweep(btb_request, test)
                 .btb[0]
                 .result.missRate();
 

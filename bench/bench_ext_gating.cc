@@ -62,7 +62,7 @@ main(int argc, char **argv)
     for (const std::string &name : branchBenchmarkNames()) {
         const auto test_trace =
             cachedBranchTrace(name, WorkloadInput::Test, branches);
-        const BranchTrace &test = *test_trace;
+        const PackedTrace &test = *test_trace;
 
         // Standard counter-based estimators.
         {
@@ -88,7 +88,7 @@ main(int argc, char **argv)
                 continue;
             const auto other_train_trace =
                 cachedBranchTrace(other, WorkloadInput::Train, branches);
-            const BranchTrace &other_train = *other_train_trace;
+            const PackedTrace &other_train = *other_train_trace;
             XScaleBtb predictor;
             collectBranchConfidenceModel(predictor, other_train,
                                          log2_entries, model);

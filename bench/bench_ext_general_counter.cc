@@ -42,7 +42,7 @@ main(int argc, char **argv)
     for (const std::string &name : branchBenchmarkNames()) {
         const auto test_trace =
             cachedBranchTrace(name, WorkloadInput::Test, branches);
-        const BranchTrace &test = *test_trace;
+        const PackedTrace &test = *test_trace;
 
         XScaleBtb baseline;
         const double base =
@@ -51,7 +51,7 @@ main(int argc, char **argv)
         std::cout << std::setw(10) << name << std::setw(11) << std::fixed
                   << std::setprecision(2) << base * 100.0 << "%";
 
-        std::vector<BranchTrace> suite;
+        std::vector<PackedTrace> suite;
         for (const std::string &other : branchBenchmarkNames()) {
             if (other != name) {
                 suite.push_back(*cachedBranchTrace(

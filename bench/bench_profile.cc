@@ -62,7 +62,7 @@ millisSince(Clock::time_point start)
  * [order][branch] with branches in ranked order.
  */
 std::vector<std::vector<MarkovModel>>
-seedOrderSweep(const BranchTrace &trace, const std::vector<int> &orders,
+seedOrderSweep(const PackedTrace &trace, const std::vector<int> &orders,
                const CustomTrainingOptions &options)
 {
     std::vector<std::vector<MarkovModel>> per_order;
@@ -155,7 +155,7 @@ main(int argc, char **argv)
     for (const std::string &name : branchBenchmarkNames()) {
         const auto train_trace =
             cachedBranchTrace(name, WorkloadInput::Train, branches);
-        const BranchTrace &train = *train_trace;
+        const PackedTrace &train = *train_trace;
 
         BenchmarkTiming timing;
         timing.name = name;

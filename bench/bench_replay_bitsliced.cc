@@ -35,7 +35,6 @@
 #include "automata/dfa.hh"
 #include "bpred/trainer.hh"
 #include "sim/bitsliced.hh"
-#include "sim/packed_trace.hh"
 #include "support/json.hh"
 #include "support/thread_pool.hh"
 #include "workloads/trace_cache.hh"
@@ -224,7 +223,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    const PackedTrace packed(*trace);
+    const PackedTrace &packed = *trace;
     const uint64_t *words = packed.takenWords().data();
     const size_t n = packed.size();
 

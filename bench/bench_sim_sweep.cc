@@ -2,12 +2,12 @@
  * @file
  * Benchmarks the single-pass sweep engine (sim/sweep.hh) against the
  * seed's evaluation shape for Figure 5: per-point virtual
- * simulateBranchPredictor sweeps and the AoS all-machines-per-record
+ * simulateBranchPredictor sweeps and the all-machines-per-record
  * custom curve, traces rebuilt per run as the seed did. Both paths use
  * the same packed predictor classes; the serial side reaches them
- * through virtual predict/update over the AoS trace, so the speedup
- * measures the engine's loop structure (packed traces, fused steps,
- * nested sweep, transposed replay), not a change of predictor layout.
+ * through virtual predict/update, record by record, so the speedup
+ * measures the engine's loop structure (fused steps, nested sweep,
+ * transposed replay), not a change of predictor or trace layout.
  * Both paths share one untimed training pass; the engine path draws
  * its traces from the process-wide cache. Results must be
  * bit-identical or the bench aborts.
@@ -34,7 +34,6 @@
 #include "bpred/trainer.hh"
 #include "fsmgen/predictor_fsm.hh"
 #include "sim/figure5.hh"
-#include "sim/packed_trace.hh"
 #include "support/json.hh"
 #include "synth/area.hh"
 #include "workloads/trace_cache.hh"
@@ -46,10 +45,10 @@ using namespace autofsm;
 namespace
 {
 
-/** The seed's customCurve: every machine stepped on every AoS record. */
+/** The seed's customCurve: every machine stepped on every record. */
 AreaMissSeries
 seedCustomCurve(const std::vector<TrainedBranch> &trained,
-                const BranchTrace &trace, const BtbConfig &btb_config,
+                const PackedTrace &trace, const BtbConfig &btb_config,
                 const std::string &label, const AreaCosts &costs)
 {
     XScaleBtb btb(btb_config, costs);
@@ -114,9 +113,9 @@ seedEvaluate(const std::string &benchmark,
     result.name = benchmark;
     result.trained = trained;
 
-    const BranchTrace train = makeBranchTrace(
+    const PackedTrace train = makeBranchTrace(
         benchmark, WorkloadInput::Train, options.branchesPerRun);
-    const BranchTrace test = makeBranchTrace(
+    const PackedTrace test = makeBranchTrace(
         benchmark, WorkloadInput::Test, options.branchesPerRun);
 
     {
@@ -218,13 +217,11 @@ main(int argc, char **argv)
     std::vector<BenchmarkTiming> timings;
     for (const std::string &name : branchBenchmarkNames()) {
         // Train once, untimed: both paths replay the same machines, and
-        // this warms the trace and packing caches exactly as a prior
-        // design-flow stage would have.
+        // this warms the trace cache exactly as a prior design-flow
+        // stage would have.
         const auto train = cachedBranchTrace(name, WorkloadInput::Train,
                                              options.branchesPerRun);
-        cachedPackedTrace(train);
-        cachedPackedTrace(cachedBranchTrace(name, WorkloadInput::Test,
-                                            options.branchesPerRun));
+        cachedBranchTrace(name, WorkloadInput::Test, options.branchesPerRun);
         Fig5Options train_options = options;
         train_options.training.threads = 1;
         BaselineBtbProfile profile;
@@ -245,10 +242,10 @@ main(int argc, char **argv)
 
         Fig5Benchmark sweep;
         timing.sweepMs = bench::medianRunMillis(args, [&] {
-            const auto sweep_train = cachedPackedTrace(cachedBranchTrace(
-                name, WorkloadInput::Train, options.branchesPerRun));
-            const auto sweep_test = cachedPackedTrace(cachedBranchTrace(
-                name, WorkloadInput::Test, options.branchesPerRun));
+            const auto sweep_train = cachedBranchTrace(
+                name, WorkloadInput::Train, options.branchesPerRun);
+            const auto sweep_test = cachedBranchTrace(
+                name, WorkloadInput::Test, options.branchesPerRun);
             sweep = evaluateFigure5(name, *sweep_train, *sweep_test,
                                     trained, options, &profile);
         });

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "sim/nested_sweep.hh"
-#include "sim/packed_trace.hh"
 #include "sim/sweep.hh"
 #include "support/json.hh"
 #include "support/thread_pool.hh"
@@ -144,8 +143,8 @@ main(int argc, char **argv)
 
     const AreaCosts costs;
     const NestedSweepRequest request = figure5Request();
-    const auto trace = cachedPackedTrace(
-        cachedBranchTrace(benchmark, WorkloadInput::Test, branches));
+    const auto trace =
+        cachedBranchTrace(benchmark, WorkloadInput::Test, branches);
 
     std::cout << "Nested-index sweep benchmark: sweepKernelBatch vs "
                  "sim/nested_sweep.hh\nbenchmark: "

@@ -35,7 +35,7 @@ main(int argc, char **argv)
               << "'\n\n";
 
     // --- 1. Profile on the training input ------------------------------
-    const std::shared_ptr<const BranchTrace> train =
+    const std::shared_ptr<const PackedTrace> train =
         cachedBranchTrace(benchmark, WorkloadInput::Train, 200000);
     CustomTrainingOptions options;
     options.maxCustomBranches = num_custom;
@@ -57,7 +57,7 @@ main(int argc, char **argv)
         custom.addCustomEntry(branch.pc, branch.design.fsm);
 
     // --- 3. Evaluate on a *different* input (custom-diff) --------------
-    const std::shared_ptr<const BranchTrace> test =
+    const std::shared_ptr<const PackedTrace> test =
         cachedBranchTrace(benchmark, WorkloadInput::Test, 200000);
 
     XScaleBtb baseline;

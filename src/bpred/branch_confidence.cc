@@ -118,10 +118,10 @@ ConfidenceMetrics::specificity() const
 ConfidenceMetrics
 measureBranchConfidence(BranchPredictor &predictor,
                         BranchConfidenceEstimator &estimator,
-                        const BranchTrace &trace)
+                        const PackedTrace &trace)
 {
     ConfidenceMetrics metrics;
-    for (const auto &record : trace) {
+    for (const BranchRecord record : trace) {
         const bool marked = estimator.confident(record.pc);
         const bool right = predictor.predict(record.pc) == record.taken;
 
@@ -138,14 +138,14 @@ measureBranchConfidence(BranchPredictor &predictor,
 
 void
 collectBranchConfidenceModel(BranchPredictor &predictor,
-                             const BranchTrace &trace, int log2_entries,
+                             const PackedTrace &trace, int log2_entries,
                              MarkovModel &model)
 {
     const size_t entries = 1ULL << log2_entries;
     std::vector<uint32_t> history(entries, 0);
     std::vector<int> pushes(entries, 0);
 
-    for (const auto &record : trace) {
+    for (const BranchRecord record : trace) {
         const size_t entry = hashPc(record.pc, log2_entries);
         const bool right = predictor.predict(record.pc) == record.taken;
 

@@ -21,7 +21,7 @@
 #include "fsmgen/markov.hh"
 #include "fsmgen/predictor_fsm.hh"
 #include "support/sud_counter.hh"
-#include "trace/branch_trace.hh"
+#include "trace/packed_trace.hh"
 
 namespace autofsm
 {
@@ -101,7 +101,7 @@ struct ConfidenceMetrics
 ConfidenceMetrics
 measureBranchConfidence(BranchPredictor &predictor,
                         BranchConfidenceEstimator &estimator,
-                        const BranchTrace &trace);
+                        const PackedTrace &trace);
 
 /**
  * Training pass for FSM branch confidence: per-table-entry Markov
@@ -109,7 +109,7 @@ measureBranchConfidence(BranchPredictor &predictor,
  * collectConfidenceModels).
  */
 void collectBranchConfidenceModel(BranchPredictor &predictor,
-                                  const BranchTrace &trace,
+                                  const PackedTrace &trace,
                                   int log2_entries, MarkovModel &model);
 
 } // namespace autofsm

@@ -9,10 +9,10 @@ namespace autofsm
 {
 
 void
-collectLocalOutcomeModel(const BranchTrace &trace, MarkovModel &model)
+collectLocalOutcomeModel(const PackedTrace &trace, MarkovModel &model)
 {
     std::unordered_map<uint64_t, HistoryRegister> histories;
-    for (const auto &record : trace) {
+    for (const BranchRecord record : trace) {
         auto it = histories.find(record.pc);
         if (it == histories.end()) {
             it = histories.emplace(record.pc,
@@ -27,11 +27,11 @@ collectLocalOutcomeModel(const BranchTrace &trace, MarkovModel &model)
 }
 
 FsmDesignResult
-designGeneralCounter(const std::vector<BranchTrace> &traces,
+designGeneralCounter(const std::vector<PackedTrace> &traces,
                      const FsmDesignOptions &options)
 {
     MarkovModel model(options.order);
-    for (const BranchTrace &trace : traces)
+    for (const PackedTrace &trace : traces)
         collectLocalOutcomeModel(trace, model);
     return DesignFlow(options).run(model).design;
 }

@@ -15,7 +15,7 @@
 #define AUTOFSM_BPRED_COUNTER_DESIGN_HH
 
 #include "fsmgen/designer.hh"
-#include "trace/branch_trace.hh"
+#include "trace/packed_trace.hh"
 
 namespace autofsm
 {
@@ -25,13 +25,13 @@ namespace autofsm
  * every static branch in @p trace. Each branch keeps its own history
  * register of the model's order; call repeatedly to aggregate a suite.
  */
-void collectLocalOutcomeModel(const BranchTrace &trace, MarkovModel &model);
+void collectLocalOutcomeModel(const PackedTrace &trace, MarkovModel &model);
 
 /**
  * Design a general-purpose prediction counter of the given history
  * length from aggregate traces (convenience wrapper: collect + design).
  */
-FsmDesignResult designGeneralCounter(const std::vector<BranchTrace> &traces,
+FsmDesignResult designGeneralCounter(const std::vector<PackedTrace> &traces,
                                      const FsmDesignOptions &options);
 
 } // namespace autofsm

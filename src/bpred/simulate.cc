@@ -29,10 +29,10 @@ publishBpredRun(const std::string &predictor_name,
 }
 
 BpredSimResult
-simulateBranchPredictor(BranchPredictor &predictor, const BranchTrace &trace)
+simulateBranchPredictor(BranchPredictor &predictor, const PackedTrace &trace)
 {
     BpredSimResult result;
-    for (const auto &record : trace) {
+    for (const BranchRecord record : trace) {
         ++result.branches;
         if (predictor.predict(record.pc) != record.taken)
             ++result.mispredicts;
@@ -43,11 +43,11 @@ simulateBranchPredictor(BranchPredictor &predictor, const BranchTrace &trace)
 }
 
 BpredSimResult
-simulateBranchPredictor(BranchPredictor &predictor, const BranchTrace &trace,
+simulateBranchPredictor(BranchPredictor &predictor, const PackedTrace &trace,
                         std::unordered_map<uint64_t, uint64_t> &per_branch)
 {
     BpredSimResult result;
-    for (const auto &record : trace) {
+    for (const BranchRecord record : trace) {
         ++result.branches;
         if (predictor.predict(record.pc) != record.taken) {
             ++result.mispredicts;

@@ -10,7 +10,7 @@
 #include <unordered_map>
 
 #include "bpred/predictor.hh"
-#include "trace/branch_trace.hh"
+#include "trace/packed_trace.hh"
 
 namespace autofsm
 {
@@ -43,14 +43,14 @@ void publishBpredRun(const std::string &predictor_name,
 
 /** Drive @p predictor with @p trace (predict, then update, per record). */
 BpredSimResult simulateBranchPredictor(BranchPredictor &predictor,
-                                       const BranchTrace &trace);
+                                       const PackedTrace &trace);
 
 /**
  * Like simulateBranchPredictor, additionally collecting per-static-
  * branch misprediction counts into @p per_branch.
  */
 BpredSimResult
-simulateBranchPredictor(BranchPredictor &predictor, const BranchTrace &trace,
+simulateBranchPredictor(BranchPredictor &predictor, const PackedTrace &trace,
                         std::unordered_map<uint64_t, uint64_t> &per_branch);
 
 } // namespace autofsm

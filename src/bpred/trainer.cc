@@ -12,8 +12,64 @@
 namespace autofsm
 {
 
+namespace
+{
+
+/**
+ * pc -> selected-branch slot for the model-building walk, which looks
+ * up every record: linear probing over a power-of-two table at most a
+ * quarter full, so a lookup is a multiply, a shift and (almost always)
+ * one or two probes instead of an unordered_map's modulo and chain.
+ */
+class SlotTable
+{
+  public:
+    static constexpr size_t kNone = ~size_t{0};
+
+    explicit SlotTable(size_t count)
+    {
+        while (capacity_ < 4 * count)
+            capacity_ *= 2;
+        keys_.assign(capacity_, 0);
+        slots_.assign(capacity_, kNone);
+    }
+
+    void
+    insert(uint64_t pc, size_t slot)
+    {
+        size_t i = home(pc);
+        while (slots_[i] != kNone)
+            i = (i + 1) & (capacity_ - 1);
+        keys_[i] = pc;
+        slots_[i] = slot;
+    }
+
+    size_t
+    find(uint64_t pc) const
+    {
+        for (size_t i = home(pc);; i = (i + 1) & (capacity_ - 1)) {
+            if (slots_[i] == kNone || keys_[i] == pc)
+                return slots_[i];
+        }
+    }
+
+  private:
+    size_t
+    home(uint64_t pc) const
+    {
+        return static_cast<size_t>((pc * 0x9e3779b97f4a7c15ULL) >> 32) &
+            (capacity_ - 1);
+    }
+
+    size_t capacity_ = 16;
+    std::vector<uint64_t> keys_;
+    std::vector<size_t> slots_;
+};
+
+} // anonymous namespace
+
 std::vector<std::pair<uint64_t, uint64_t>>
-profileBaselineMisses(const BranchTrace &trace, const BtbConfig &baseline,
+profileBaselineMisses(const PackedTrace &trace, const BtbConfig &baseline,
                       BaselineBtbProfile *profile)
 {
     // The fused step makes the same decisions and tallies as
@@ -21,7 +77,7 @@ profileBaselineMisses(const BranchTrace &trace, const BtbConfig &baseline,
     XScaleBtb btb(baseline);
     std::unordered_map<uint64_t, uint64_t> misses;
     uint64_t total = 0;
-    for (const auto &record : trace) {
+    for (const BranchRecord record : trace) {
         if (btb.step(record.pc, record.taken)) {
             ++misses[record.pc];
             ++total;
@@ -48,7 +104,7 @@ profileBaselineMisses(const BranchTrace &trace, const BtbConfig &baseline,
 }
 
 std::vector<BranchModelSweep>
-collectBranchModelSweeps(const BranchTrace &trace,
+collectBranchModelSweeps(const PackedTrace &trace,
                          const std::vector<int> &orders,
                          const CustomTrainingOptions &options,
                          BaselineBtbProfile *profile)
@@ -68,12 +124,12 @@ collectBranchModelSweeps(const BranchTrace &trace,
     // One walk counts at max_order; finish() folds out every lower
     // order. The same pass records where each selected branch executes
     // - the sweep engine replays machines at exactly these positions.
-    std::unordered_map<uint64_t, size_t> slots;
+    SlotTable slots(count);
     std::vector<MultiOrderCounter> counters;
     std::vector<std::vector<uint32_t>> positions(count);
     counters.reserve(count);
     for (size_t i = 0; i < count; ++i) {
-        slots.emplace(ranked[i].first, i);
+        slots.insert(ranked[i].first, i);
         counters.emplace_back(max_order);
     }
 
@@ -81,12 +137,12 @@ collectBranchModelSweeps(const BranchTrace &trace,
     HistoryRegister global(max_order);
     int pushes = 0; // global outcomes seen, saturating at max_order
     uint32_t index = 0;
-    for (const auto &record : trace) {
-        const auto it = slots.find(record.pc);
-        if (it != slots.end()) {
-            positions[it->second].push_back(index);
-            counters[it->second].observe(global.value(), pushes,
-                                         record.taken ? 1 : 0);
+    for (const BranchRecord record : trace) {
+        const size_t slot = slots.find(record.pc);
+        if (slot != SlotTable::kNone) {
+            positions[slot].push_back(index);
+            counters[slot].observe(global.value(), pushes,
+                                   record.taken ? 1 : 0);
         }
         global.push(record.taken ? 1 : 0);
         if (pushes < max_order)
@@ -116,7 +172,7 @@ collectBranchModelSweeps(const BranchTrace &trace,
 }
 
 std::vector<BranchModel>
-collectBranchModels(const BranchTrace &trace,
+collectBranchModels(const PackedTrace &trace,
                     const CustomTrainingOptions &options,
                     BaselineBtbProfile *profile)
 {
@@ -137,7 +193,7 @@ collectBranchModels(const BranchTrace &trace,
 }
 
 std::vector<TrainedBranch>
-trainCustomPredictors(const BranchTrace &trace,
+trainCustomPredictors(const PackedTrace &trace,
                       const CustomTrainingOptions &options,
                       BaselineBtbProfile *profile)
 {

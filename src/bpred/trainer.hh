@@ -21,7 +21,7 @@
 #include "fsmgen/designer.hh"
 #include "fsmgen/profile.hh"
 #include "synth/area.hh"
-#include "trace/branch_trace.hh"
+#include "trace/packed_trace.hh"
 
 namespace autofsm
 {
@@ -128,7 +128,7 @@ struct BranchModelSweep
  *         receives the baseline pass's whole-trace tallies.
  */
 std::vector<BranchModel>
-collectBranchModels(const BranchTrace &trace,
+collectBranchModels(const PackedTrace &trace,
                     const CustomTrainingOptions &options = {},
                     BaselineBtbProfile *profile = nullptr);
 
@@ -143,7 +143,7 @@ collectBranchModels(const BranchTrace &trace,
  * applies unchanged.
  */
 std::vector<BranchModelSweep>
-collectBranchModelSweeps(const BranchTrace &trace,
+collectBranchModelSweeps(const PackedTrace &trace,
                          const std::vector<int> &orders,
                          const CustomTrainingOptions &options = {},
                          BaselineBtbProfile *profile = nullptr);
@@ -162,7 +162,7 @@ collectBranchModelSweeps(const BranchTrace &trace,
  *         reuse the profiling pass instead of re-simulating the BTB.
  */
 std::vector<TrainedBranch>
-trainCustomPredictors(const BranchTrace &trace,
+trainCustomPredictors(const PackedTrace &trace,
                       const CustomTrainingOptions &options = {},
                       BaselineBtbProfile *profile = nullptr);
 
@@ -171,7 +171,7 @@ trainCustomPredictors(const BranchTrace &trace,
  * XScale BTB of @p baseline geometry (exposed for tests and benches).
  */
 std::vector<std::pair<uint64_t, uint64_t>>
-profileBaselineMisses(const BranchTrace &trace,
+profileBaselineMisses(const PackedTrace &trace,
                       const BtbConfig &baseline = {},
                       BaselineBtbProfile *profile = nullptr);
 

@@ -20,7 +20,7 @@ namespace
 std::atomic<TraceRefResolver> g_traceResolver{nullptr};
 
 /** Resolve request.traceRef through the installed resolver. */
-std::vector<int>
+std::shared_ptr<const PackedTrace>
 resolveTraceRef(const DesignRequest &request)
 {
     const TraceRefResolver resolver =
@@ -316,23 +316,30 @@ resolveRequestModel(const DesignRequest &request)
     request.validate();
     if (request.model)
         return *request.model;
-    if (!request.traceRef.empty())
-        return trainMarkovModel(resolveTraceRef(request),
-                                request.options.order);
+    if (!request.traceRef.empty()) {
+        const std::shared_ptr<const PackedTrace> trace =
+            resolveTraceRef(request);
+        return trainMarkovModelWords(trace->takenWords().data(),
+                                     trace->size(), request.options.order);
+    }
     return trainMarkovModel(request.outcomes, request.options.order);
 }
 
-std::vector<int>
+OutcomeWords
 resolveRequestOutcomes(const DesignRequest &request)
 {
-    if (!request.outcomes.empty())
-        return request.outcomes;
+    if (!request.outcomes.empty()) {
+        auto words = std::make_shared<const std::vector<uint64_t>>(
+            packOutcomeWords(request.outcomes));
+        return {*words, request.outcomes.size(), words};
+    }
     if (request.traceRef.empty()) {
         throw std::invalid_argument(
             "DesignRequest: no outcome stream to evaluate (source is a "
             "pre-trained model)");
     }
-    return resolveTraceRef(request);
+    std::shared_ptr<const PackedTrace> trace = resolveTraceRef(request);
+    return {trace->takenWords(), trace->size(), std::move(trace)};
 }
 
 FlowResult
@@ -344,7 +351,8 @@ runDesignRequest(const DesignRequest &request)
         return flow.run(*request.model);
     if (!request.outcomes.empty())
         return flow.runOnTrace(request.outcomes);
-    return flow.runOnTrace(resolveTraceRef(request));
+    const std::shared_ptr<const PackedTrace> trace = resolveTraceRef(request);
+    return flow.runOnWords(trace->takenWords().data(), trace->size());
 }
 
 DesignResponse
@@ -384,15 +392,13 @@ designService(const DesignRequest &request)
         if (request.evaluate) {
             // Single-request evaluation path; the batch engine groups
             // shared-stream requests into one multi-lane replay instead.
-            const std::vector<int> outcomes =
-                resolveRequestOutcomes(request);
-            const std::vector<uint64_t> words = packOutcomeWords(outcomes);
+            const OutcomeWords stream = resolveRequestOutcomes(request);
             const std::vector<BitslicedMachine> machines = {
                 {&flow.design.fsm, nullptr}};
             const std::vector<uint64_t> misses = replayMachinesBitsliced(
-                machines, words.data(), outcomes.size());
+                machines, stream.words.data(), stream.bits);
             response.evaluated = true;
-            response.evalBranches = outcomes.size();
+            response.evalBranches = stream.bits;
             response.evalMisses = misses[0];
         }
         return response;

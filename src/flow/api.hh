@@ -26,7 +26,9 @@
 #define AUTOFSM_FLOW_API_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +37,7 @@
 #include "fsmgen/designer.hh"
 #include "obs/trace_context.hh"
 #include "support/json_parse.hh"
+#include "trace/packed_trace.hh"
 
 namespace autofsm
 {
@@ -202,13 +205,15 @@ struct DesignResponse
 
 /**
  * Resolver for DesignRequest::traceRef, mapping (name, approx branches)
- * to a behavior stream. A plain function pointer so installation is a
- * single atomic store; the default (none installed) makes traceRef
- * requests fail invalid-input. serve::installWorkloadTraceResolver()
- * installs the synthetic branch-workload resolver.
+ * to a shared branch trace whose outcome words are the behavior stream.
+ * A plain function pointer so installation is a single atomic store;
+ * the default (none installed) makes traceRef requests fail
+ * invalid-input. serve::installWorkloadTraceResolver() installs the
+ * synthetic branch-workload resolver, which hands out the trace cache's
+ * entries as is.
  */
-using TraceRefResolver = std::vector<int> (*)(const std::string &ref,
-                                              uint64_t approxBranches);
+using TraceRefResolver = std::shared_ptr<const PackedTrace> (*)(
+    const std::string &ref, uint64_t approxBranches);
 
 /** Install @p resolver process-wide (nullptr uninstalls). */
 void setTraceRefResolver(TraceRefResolver resolver);
@@ -218,29 +223,41 @@ TraceRefResolver traceRefResolver();
 
 /**
  * Resolve the request's behavior source to a Markov model at
- * options.order: pass a pre-trained model through, or train
- * (trainMarkovModel) on inline outcomes or a resolved traceRef. Used by
- * the batch pipeline so identical behaviors dedupe before design.
+ * options.order: pass a pre-trained model through, or train on inline
+ * outcomes (trainMarkovModel) or a resolved traceRef's outcome words
+ * (trainMarkovModelWords, no unpacking). Used by the batch pipeline so
+ * identical behaviors dedupe before design.
  *
  * @throws std::invalid_argument on validation failure or unknown ref.
  */
 MarkovModel resolveRequestModel(const DesignRequest &request);
 
 /**
- * Resolve the request's outcome stream: inline outcomes verbatim, or
- * the traceRef through the installed resolver. This is what the
- * evaluation stage replays the designed machine against.
+ * A request's outcome stream in packed form (PackedTrace::takenWords
+ * layout, @c bits outcomes); @c owner keeps @c words alive.
+ */
+struct OutcomeWords
+{
+    std::span<const uint64_t> words;
+    size_t bits = 0;
+    std::shared_ptr<const void> owner;
+};
+
+/**
+ * Resolve the request's outcome stream: the inline outcomes packed, or
+ * the resolved traceRef's outcome words borrowed in place. This is what
+ * the evaluation stage replays the designed machine against.
  *
  * @throws std::invalid_argument when the request's source is a
  *         pre-trained model (it carries no stream) or the ref cannot
  *         be resolved.
  */
-std::vector<int> resolveRequestOutcomes(const DesignRequest &request);
+OutcomeWords resolveRequestOutcomes(const DesignRequest &request);
 
 /**
  * The single throwing entry point: validate, resolve the source, run
  * the design flow under request.options. The artifacts are exactly
- * DesignFlow(request.options).run / runOnTrace's.
+ * DesignFlow(request.options).run / runOnTrace / runOnWords's.
  *
  * @throws FlowError / std::invalid_argument as the flow does.
  */

@@ -361,10 +361,8 @@ BatchDesigner::designRequests(const std::vector<DesignRequest> &requests)
             obs::SpanScope eval_span(tracer, "batch.evaluate",
                                      batch_span_id);
             try {
-                const std::vector<int> outcomes =
+                const OutcomeWords stream =
                     resolveRequestOutcomes(requests[group.front()]);
-                const std::vector<uint64_t> words =
-                    packOutcomeWords(outcomes);
                 std::vector<BitslicedMachine> machines(group.size());
                 for (size_t m = 0; m < group.size(); ++m) {
                     machines[m] = BitslicedMachine{
@@ -373,12 +371,12 @@ BatchDesigner::designRequests(const std::vector<DesignRequest> &requests)
                 BitslicedOptions replay;
                 replay.threads = options_.threads;
                 const std::vector<uint64_t> misses =
-                    replayMachinesBitsliced(machines, words.data(),
-                                            outcomes.size(), replay);
+                    replayMachinesBitsliced(machines, stream.words.data(),
+                                            stream.bits, replay);
                 for (size_t m = 0; m < group.size(); ++m) {
                     BatchItemResult &slot = results[group[m]];
                     slot.evaluated = true;
-                    slot.evalBranches = outcomes.size();
+                    slot.evalBranches = stream.bits;
                     slot.evalMisses = misses[m];
                 }
             } catch (...) {

@@ -178,19 +178,34 @@ DesignFlow::run(const MarkovModel &model) const
     return runStages(model, FlowTrace(), deadline);
 }
 
+template <typename Train>
 FlowResult
-DesignFlow::runOnTrace(const std::vector<int> &trace) const
+DesignFlow::runTrained(const Train &train) const
 {
     obs::SpanScope root(obs::currentTracer(), "flow.run");
     const Deadline deadline(options_.budget.deadlineMillis);
     obs::SpanScope span(obs::currentTracer(), "flow.markov");
     AUTOFSM_FAILPOINT("flow.markov");
-    const MarkovModel model = trainMarkovModel(trace, options_.order);
+    const MarkovModel model = train();
     FlowTrace flow_trace;
     recordStage(flow_trace, FlowStage::Markov, span,
                 static_cast<int64_t>(model.distinctHistories()),
                 "histories");
     return runStages(model, std::move(flow_trace), deadline);
+}
+
+FlowResult
+DesignFlow::runOnTrace(const std::vector<int> &trace) const
+{
+    return runTrained(
+        [&] { return trainMarkovModel(trace, options_.order); });
+}
+
+FlowResult
+DesignFlow::runOnWords(const uint64_t *words, size_t bits) const
+{
+    return runTrained(
+        [&] { return trainMarkovModelWords(words, bits, options_.order); });
 }
 
 /**

@@ -183,7 +183,17 @@ class DesignFlow
      */
     FlowResult runOnTrace(const std::vector<int> &trace) const;
 
+    /**
+     * runOnTrace over a packed outcome stream: @p bits outcomes in
+     * PackedTrace::takenWords layout, trained with trainMarkovModelWords
+     * (the model is bit-identical to runOnTrace's on the same outcomes).
+     */
+    FlowResult runOnWords(const uint64_t *words, size_t bits) const;
+
   private:
+    /** Train through @p train (recorded as the markov stage), then run. */
+    template <typename Train>
+    FlowResult runTrained(const Train &train) const;
     FlowResult runStages(const MarkovModel &model, FlowTrace trace,
                          const Deadline &deadline) const;
     void minimizeFallback(const TruthTable &table,

@@ -129,7 +129,7 @@ countRequest(const std::string &tenant, RequestClass klass,
     }
 }
 
-std::vector<int>
+std::shared_ptr<const PackedTrace>
 resolveWorkloadTrace(const std::string &ref, uint64_t approxBranches)
 {
     std::string name = ref;
@@ -146,13 +146,7 @@ resolveWorkloadTrace(const std::string &ref, uint64_t approxBranches)
                                         "': input must be train or test");
         }
     }
-    const std::shared_ptr<const BranchTrace> trace = cachedBranchTrace(
-        name, input, static_cast<size_t>(approxBranches));
-    std::vector<int> outcomes;
-    outcomes.reserve(trace->size());
-    for (const BranchRecord &record : *trace)
-        outcomes.push_back(record.taken ? 1 : 0);
-    return outcomes;
+    return cachedBranchTrace(name, input, static_cast<size_t>(approxBranches));
 }
 
 } // anonymous namespace

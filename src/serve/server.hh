@@ -221,8 +221,8 @@ class Server
 /**
  * Install the synthetic branch-workload resolver as the process's
  * TraceRefResolver: "compress" (or "compress:train" / "compress:test")
- * resolves through the workloads trace cache to that benchmark's taken
- * stream. Called by the daemon and bench mains; the flow library itself
+ * resolves to that benchmark's trace in the workloads trace cache, shared
+ * as is. Called by the daemon and bench mains; the flow library itself
  * stays independent of the workloads layer.
  */
 void installWorkloadTraceResolver();

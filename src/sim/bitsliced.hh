@@ -53,7 +53,7 @@
 #include <vector>
 
 #include "automata/dfa.hh"
-#include "sim/packed_trace.hh"
+#include "trace/packed_trace.hh"
 
 namespace autofsm
 {

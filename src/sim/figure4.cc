@@ -25,7 +25,7 @@ runFigure4(const Fig4Options &options)
         [&](size_t b) {
             Rng rng(options.seed +
                     0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(b + 1));
-            const std::shared_ptr<const BranchTrace> trace =
+            const std::shared_ptr<const PackedTrace> trace =
                 cachedBranchTrace(names[b], WorkloadInput::Train,
                                   options.branchesPerRun);
             CustomTrainingOptions training;

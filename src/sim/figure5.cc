@@ -5,7 +5,6 @@
 
 #include "bpred/custom.hh"
 #include "sim/nested_sweep.hh"
-#include "sim/packed_trace.hh"
 #include "sim/sweep.hh"
 #include "support/thread_pool.hh"
 #include "synth/area.hh"
@@ -55,21 +54,8 @@ customSeries(const std::vector<TrainedBranch> &trained,
 } // anonymous namespace
 
 Fig5Benchmark
-evaluateFigure5(const std::string &benchmark, const BranchTrace &train,
-                const BranchTrace &test,
-                const std::vector<TrainedBranch> &trained,
-                const Fig5Options &options)
-{
-    const PackedTrace packed_train(train);
-    const PackedTrace packed_test(test);
-    return evaluateFigure5(benchmark, packed_train, packed_test, trained,
-                           options);
-}
-
-Fig5Benchmark
-evaluateFigure5(const std::string &benchmark,
-                const PackedTrace &packed_train,
-                const PackedTrace &packed_test,
+evaluateFigure5(const std::string &benchmark, const PackedTrace &train,
+                const PackedTrace &test,
                 const std::vector<TrainedBranch> &trained,
                 const Fig5Options &options,
                 const BaselineBtbProfile *train_profile)
@@ -113,12 +99,12 @@ evaluateFigure5(const std::string &benchmark,
     // the dedicated point simulation would have published is exported
     // from the same tallies.
     const CustomReplayCounts diff_counts =
-        replayCustomMachines(machines, packed_test,
+        replayCustomMachines(machines, test,
                              options.training.baseline, costs,
                              sweep_threads, options.replayShards);
     {
         BpredSimResult r;
-        r.branches = packed_test.size();
+        r.branches = test.size();
         r.mispredicts = diff_counts.btbMissesTotal;
         publishBpredRun(diff_counts.btbName, r);
         publishBtbMetrics(diff_counts.btbName, diff_counts.btbLookups,
@@ -145,7 +131,7 @@ evaluateFigure5(const std::string &benchmark,
         sweep_options.threads = sweep_threads;
         sweep_options.shards = options.replayShards;
         const NestedSweepResult swept =
-            nestedSweep(request, packed_test, costs, sweep_options);
+            nestedSweep(request, test, costs, sweep_options);
         for (size_t i = 0; i < num_gshare; ++i)
             result.gshare.points[i] = {swept.gshare[i].area,
                                        swept.gshare[i].result.missRate(),
@@ -174,20 +160,20 @@ evaluateFigure5(const std::string &benchmark,
             baseline.btbMisses.push_back(branch.baselineMisses);
             baseline.positions.push_back(&branch.trainPositions);
         }
-        same_counts = replayCustomMachines(machines, packed_train,
+        same_counts = replayCustomMachines(machines, train,
                                            baseline, sweep_threads,
                                            options.replayShards);
     } else {
-        same_counts = replayCustomMachines(machines, packed_train,
+        same_counts = replayCustomMachines(machines, train,
                                            options.training.baseline,
                                            costs, sweep_threads,
                                            options.replayShards);
     }
     result.customSame = customSeries(trained, same_counts,
-                                     packed_train.size(), "custom-same",
+                                     train.size(), "custom-same",
                                      costs);
     result.customDiff = customSeries(trained, diff_counts,
-                                     packed_test.size(), "custom-diff",
+                                     test.size(), "custom-diff",
                                      costs);
     return result;
 }
@@ -195,16 +181,15 @@ evaluateFigure5(const std::string &benchmark,
 Fig5Benchmark
 runFigure5(const std::string &benchmark, const Fig5Options &options)
 {
-    const std::shared_ptr<const BranchTrace> train = cachedBranchTrace(
+    const std::shared_ptr<const PackedTrace> train = cachedBranchTrace(
         benchmark, WorkloadInput::Train, options.branchesPerRun);
-    const std::shared_ptr<const BranchTrace> test = cachedBranchTrace(
+    const std::shared_ptr<const PackedTrace> test = cachedBranchTrace(
         benchmark, WorkloadInput::Test, options.branchesPerRun);
 
     BaselineBtbProfile profile;
     const std::vector<TrainedBranch> trained =
         trainCustomPredictors(*train, options.training, &profile);
-    return evaluateFigure5(benchmark, *cachedPackedTrace(train),
-                           *cachedPackedTrace(test), trained, options,
+    return evaluateFigure5(benchmark, *train, *test, trained, options,
                            &profile);
 }
 

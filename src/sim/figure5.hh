@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "bpred/trainer.hh"
-#include "sim/packed_trace.hh"
+#include "trace/packed_trace.hh"
 
 namespace autofsm
 {
@@ -92,27 +92,16 @@ Fig5Benchmark runFigure5(const std::string &benchmark,
  * trained machines over the given traces via the sweep engine
  * (sim/sweep.hh). Exposed so benches can time the sweep in isolation;
  * `result.trained` is copied from @p trained.
- */
-Fig5Benchmark evaluateFigure5(const std::string &benchmark,
-                              const BranchTrace &train,
-                              const BranchTrace &test,
-                              const std::vector<TrainedBranch> &trained,
-                              const Fig5Options &options = {});
-
-/**
- * Same evaluation over already-packed traces (sim/packed_trace.hh), for
- * callers that share packings across experiments via cachedPackedTrace.
- * The BranchTrace overload packs and delegates here.
  *
- * When @p train_profile carries a valid baseline profile of
- * @p packed_train (from trainCustomPredictors over the same trace and
- * BTB config), the custom-same curve reuses the training pass's tallies
- * and branch positions instead of re-simulating the baseline BTB; the
- * output is bit-identical either way.
+ * When @p train_profile carries a valid baseline profile of @p train
+ * (from trainCustomPredictors over the same trace and BTB config), the
+ * custom-same curve reuses the training pass's tallies and branch
+ * positions instead of re-simulating the baseline BTB; the output is
+ * bit-identical either way.
  */
 Fig5Benchmark evaluateFigure5(const std::string &benchmark,
-                              const PackedTrace &packed_train,
-                              const PackedTrace &packed_test,
+                              const PackedTrace &train,
+                              const PackedTrace &test,
                               const std::vector<TrainedBranch> &trained,
                               const Fig5Options &options = {},
                               const BaselineBtbProfile *train_profile =

@@ -63,7 +63,7 @@
 #include "bpred/gshare.hh"
 #include "bpred/local_global.hh"
 #include "bpred/simulate.hh"
-#include "sim/packed_trace.hh"
+#include "trace/packed_trace.hh"
 #include "synth/area.hh"
 
 namespace autofsm

@@ -1,127 +1,38 @@
 /**
  * @file
- * Structure-of-arrays form of a BranchTrace for sweep simulation.
+ * Benchmark-harness shims over the one branch-trace representation.
  *
- * The AoS BranchTrace (16 bytes per record after padding) is what the
- * workload models produce and what single-run tooling consumes; the
- * sweep engine replays the same trace many times (once per sweep point,
- * once per custom machine), so it converts once to a packed layout:
- * a contiguous pc array plus outcomes packed 64 per machine word. A
- * full 400k-branch trace shrinks from ~6.4 MB to ~3.3 MB and the
- * outcome stream alone - all a custom FSM replay needs - to ~50 KB.
+ * Traces are generated, cached and consumed as PackedTrace
+ * (trace/packed_trace.hh, workloads/trace_cache.hh); there is no second
+ * packed copy to memoize any more. The two functions below are kept
+ * only because the benchmark harness still calls them, and go with the
+ * next change to the benchmark. New code must not use them.
  */
 
 #ifndef AUTOFSM_SIM_PACKED_TRACE_HH
 #define AUTOFSM_SIM_PACKED_TRACE_HH
 
-#include <cstddef>
-#include <cstdint>
 #include <memory>
-#include <span>
-#include <vector>
 
-#include "store/store.hh"
-#include "trace/branch_trace.hh"
+#include "trace/packed_trace.hh"
+#include "workloads/trace_cache.hh"
 
 namespace autofsm
 {
 
-/**
- * Immutable SoA view of one dynamic branch trace.
- *
- * The arrays live behind a shared owner, so the view is cheap to copy
- * and can borrow storage it did not build: packing a BranchTrace
- * allocates fresh arrays, while the store::TraceBlob constructor wraps
- * an mmap'd container file in place — a disk load is zero-copy.
- */
-class PackedTrace
+/** Benchmark-harness shim: a cached trace is already packed. */
+inline std::shared_ptr<const PackedTrace>
+cachedPackedTrace(std::shared_ptr<const PackedTrace> trace)
 {
-  public:
-    PackedTrace() = default;
-    explicit PackedTrace(const BranchTrace &trace);
+    return trace;
+}
 
-    /**
-     * Borrow a stored trace's sections without copying. @p blob must be
-     * internally consistent (the store validates before handing one
-     * out); its owner keeps the mapping alive for this view's lifetime.
-     */
-    explicit PackedTrace(const store::TraceBlob &blob);
-
-    size_t size() const { return pcs_.size(); }
-    bool empty() const { return pcs_.empty(); }
-
-    uint64_t pc(size_t i) const { return pcs_[i]; }
-
-    /** Outcome of record @p i (true = taken). */
-    bool
-    taken(size_t i) const
-    {
-        return (taken_[i >> 6] >> (i & 63)) & 1ULL;
-    }
-
-    /** The contiguous pc array (size() entries). */
-    std::span<const uint64_t> pcs() const { return pcs_; }
-
-    /**
-     * The outcome bitvector: bit (i & 63) of word (i >> 6) is record
-     * i's direction. Trailing bits of the last word are zero.
-     */
-    std::span<const uint64_t> takenWords() const { return taken_; }
-
-  private:
-    /** Freshly packed arrays (the BranchTrace-conversion path). */
-    struct Storage
-    {
-        std::vector<uint64_t> pcs;
-        std::vector<uint64_t> taken;
-    };
-
-    std::span<const uint64_t> pcs_;
-    std::span<const uint64_t> taken_;
-    /** Whatever keeps the spans alive (Storage or a store mapping). */
-    std::shared_ptr<const void> owner_;
-};
-
-/**
- * Process-wide memo of packed conversions, keyed by trace identity. The
- * returned packing of @p trace is shared by every caller holding the
- * same underlying BranchTrace (in practice: traces handed out by
- * cachedBranchTrace), so a trace replayed by many experiments in one
- * process is converted once. Entries pin their source trace, which
- * keeps the pointer key unambiguous for the life of the cache.
- * Thread-safe; concurrent callers for one trace share a single build.
- *
- * The memo is capped (setPackedTraceCacheCapacity): past the cap the
- * least-recently-used completed packing (and its trace pin) is
- * dropped, counted in autofsm_tracecache_evictions_total — the counter
- * shared with workloads/trace_cache.hh. Outstanding shared_ptrs stay
- * valid; in-flight packings are never evicted.
- */
-std::shared_ptr<const PackedTrace>
-cachedPackedTrace(const std::shared_ptr<const BranchTrace> &trace);
-
-/** Point-in-time tallies of the packing memo. */
-struct PackedTraceCacheStats
+/** Benchmark-harness shim: the packing memo is the branch-trace cache. */
+inline void
+clearPackedTraceCache()
 {
-    size_t entries = 0;
-    /** Completed packings dropped by the LRU cap. */
-    uint64_t evictions = 0;
-    /** The current cap (entries; 0 = unlimited). */
-    size_t capacity = 0;
-};
-
-/** Current memo tallies. */
-PackedTraceCacheStats packedTraceCacheStats();
-
-/**
- * Cap the memo at @p capacity packings (0 = unlimited). Lowering the
- * cap evicts LRU completed entries immediately. Returns the previous
- * cap; the default is 32.
- */
-size_t setPackedTraceCacheCapacity(size_t capacity);
-
-/** Drop every memoized packing (and the trace pins). */
-void clearPackedTraceCache();
+    clearBranchTraceCache();
+}
 
 } // namespace autofsm
 

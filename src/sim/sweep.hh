@@ -37,7 +37,7 @@
 #include "automata/dfa.hh"
 #include "bpred/btb.hh"
 #include "bpred/simulate.hh"
-#include "sim/packed_trace.hh"
+#include "trace/packed_trace.hh"
 #include "synth/area.hh"
 
 namespace autofsm

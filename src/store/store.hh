@@ -101,8 +101,9 @@ struct DesignArtifact
 
 /**
  * A zero-copy view of a stored PackedTrace: spans point straight into
- * the mmap'd file, kept alive by @c owner. sim/packed_trace.hh wraps
- * this into a borrowed-storage PackedTrace.
+ * the mmap'd file, kept alive by @c owner. The branch-trace cache's
+ * disk tier (workloads/trace_cache.cc) wraps this into a borrowed-
+ * storage PackedTrace.
  */
 struct TraceBlob
 {

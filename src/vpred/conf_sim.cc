@@ -290,12 +290,21 @@ void
 collectConfidenceModels(const ValueTrace &trace, const StrideConfig &config,
                         std::vector<MarkovModel *> models)
 {
-    TwoDeltaStridePredictor predictor(config);
-    collectConfidenceModels(trace, predictor, std::move(models));
+    collectConfidenceModels(buildCorrectnessStream(trace, config),
+                            std::move(models));
 }
 
+namespace
+{
+
+/**
+ * The stream loop, one instantiation per predictor type: on the final
+ * TwoDeltaStridePredictor every per-load call is direct and inline; the
+ * ValuePredictor instantiation serves the other predictors.
+ */
+template <typename Predictor>
 CorrectnessStream
-buildCorrectnessStream(const ValueTrace &trace, ValuePredictor &predictor)
+buildStream(const ValueTrace &trace, Predictor &predictor)
 {
     StageTimer timer(engineTelemetry().streamMillis);
     CorrectnessStream stream;
@@ -324,11 +333,19 @@ buildCorrectnessStream(const ValueTrace &trace, ValuePredictor &predictor)
     return stream;
 }
 
+} // anonymous namespace
+
+CorrectnessStream
+buildCorrectnessStream(const ValueTrace &trace, ValuePredictor &predictor)
+{
+    return buildStream(trace, predictor);
+}
+
 CorrectnessStream
 buildCorrectnessStream(const ValueTrace &trace, const StrideConfig &config)
 {
     TwoDeltaStridePredictor predictor(config);
-    return buildCorrectnessStream(trace, predictor);
+    return buildStream(trace, predictor);
 }
 
 std::vector<ConfidenceResult>

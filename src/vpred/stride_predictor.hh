@@ -13,6 +13,8 @@
 #ifndef AUTOFSM_VPRED_STRIDE_PREDICTOR_HH
 #define AUTOFSM_VPRED_STRIDE_PREDICTOR_HH
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "vpred/value_predictor.hh"
@@ -20,8 +22,12 @@
 namespace autofsm
 {
 
-/** The two-delta stride value predictor. */
-class TwoDeltaStridePredictor : public ValuePredictor
+/**
+ * The two-delta stride value predictor. Final, with the per-load
+ * methods inline, so a loop over the concrete type (the correctness-
+ * stream builder, vpred/conf_sim.hh) runs without virtual calls.
+ */
+class TwoDeltaStridePredictor final : public ValuePredictor
 {
   public:
     explicit TwoDeltaStridePredictor(const StrideConfig &config = {});
@@ -31,9 +37,48 @@ class TwoDeltaStridePredictor : public ValuePredictor
      * prediction verdict, then train the entry. Tag misses allocate and
      * report an incorrect, unpredicted outcome.
      */
-    StrideOutcome executeLoad(uint64_t pc, uint64_t value) override;
+    StrideOutcome
+    executeLoad(uint64_t pc, uint64_t value) override
+    {
+        StrideOutcome outcome;
+        outcome.entry = indexOf(pc);
+        Entry &entry = entries_[outcome.entry];
+        const uint64_t tag = tagOf(pc);
 
-    size_t indexOf(uint64_t pc) const override;
+        if (!entry.valid || entry.tag != tag) {
+            // Allocation: no basis for a prediction yet.
+            entry.valid = true;
+            entry.tag = tag;
+            entry.lastValue = value;
+            entry.stride = 0;
+            entry.lastStride = 0;
+            outcome.predicted = false;
+            outcome.correct = false;
+            return outcome;
+        }
+
+        const uint64_t predicted =
+            entry.lastValue + static_cast<uint64_t>(entry.stride);
+        outcome.predicted = true;
+        outcome.correct = predicted == value;
+
+        // Two-delta training: only adopt a new stride seen twice in a
+        // row.
+        const int64_t new_stride =
+            static_cast<int64_t>(value - entry.lastValue);
+        if (new_stride == entry.lastStride)
+            entry.stride = new_stride;
+        entry.lastStride = new_stride;
+        entry.lastValue = value;
+        return outcome;
+    }
+
+    size_t
+    indexOf(uint64_t pc) const override
+    {
+        return static_cast<size_t>((pc >> 2) & indexMask_);
+    }
+
     size_t entries() const override;
     std::string name() const override;
 
@@ -49,10 +94,19 @@ class TwoDeltaStridePredictor : public ValuePredictor
         int64_t lastStride = 0;
     };
 
-    uint64_t tagOf(uint64_t pc) const;
+    uint64_t
+    tagOf(uint64_t pc) const
+    {
+        return (pc >> tagShift_) & tagMask_;
+    }
 
     StrideConfig config_;
     std::vector<Entry> entries_;
+    /** Precomputed from config_: entries - 1, 2 + log2(entries), and
+     *  the tagBits-wide tag mask. */
+    uint64_t indexMask_;
+    int tagShift_;
+    uint64_t tagMask_;
 };
 
 } // namespace autofsm

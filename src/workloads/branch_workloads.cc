@@ -1,5 +1,6 @@
 #include "workloads/branch_workloads.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -73,30 +74,46 @@ class ProgramModel
             global_.push(static_cast<int>(rng_.below(2)));
     }
 
-    BranchTrace
+    PackedTrace
     generate(size_t approx_branches)
     {
-        BranchTrace trace;
-        trace.reserve(approx_branches + 64);
+        // The last round may overshoot the target by up to one round;
+        // reserving for it means the arrays never grow through a
+        // transient copy.
+        PackedTraceBuilder trace(approx_branches + maxRoundLength());
         while (trace.size() < approx_branches) {
             for (size_t i = 0; i < sites_.size(); ++i) {
                 for (int r = 0; r < sites_[i].repeat; ++r)
                     executeSite(i, trace);
             }
         }
-        return trace;
+        return trace.finish();
     }
 
   private:
-    void
-    emit(uint64_t pc, bool taken, BranchTrace &trace)
+    /** Records one round emits at most (loops at their longest trip). */
+    size_t
+    maxRoundLength() const
     {
-        trace.push_back({pc, taken});
+        size_t records = 0;
+        for (const SiteSpec &spec : sites_) {
+            const int per_visit = spec.kind == SiteKind::Loop
+                ? *std::max_element(spec.trips.begin(), spec.trips.end())
+                : 1;
+            records += static_cast<size_t>(spec.repeat * per_visit);
+        }
+        return records;
+    }
+
+    void
+    emit(uint64_t pc, bool taken, PackedTraceBuilder &trace)
+    {
+        trace.push(pc, taken);
         global_.push(taken ? 1 : 0);
     }
 
     void
-    executeSite(size_t idx, BranchTrace &trace)
+    executeSite(size_t idx, PackedTraceBuilder &trace)
     {
         const SiteSpec &spec = sites_[idx];
         SiteState &state = states_[idx];
@@ -293,7 +310,7 @@ branchBenchmarkNames()
     return names;
 }
 
-BranchTrace
+PackedTrace
 makeBranchTrace(const std::string &name, WorkloadInput input,
                 size_t approx_branches)
 {

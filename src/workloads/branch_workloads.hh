@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/branch_trace.hh"
+#include "trace/packed_trace.hh"
 
 namespace autofsm
 {
@@ -42,7 +42,7 @@ const std::vector<std::string> &branchBenchmarkNames();
  * Deterministic: the same (name, input, approx_branches) triple always
  * yields the same trace.
  */
-BranchTrace makeBranchTrace(const std::string &name, WorkloadInput input,
+PackedTrace makeBranchTrace(const std::string &name, WorkloadInput input,
                             size_t approx_branches = 500000);
 
 } // namespace autofsm

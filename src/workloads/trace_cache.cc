@@ -16,7 +16,7 @@ namespace autofsm
 namespace
 {
 
-using TracePtr = std::shared_ptr<const BranchTrace>;
+using TracePtr = std::shared_ptr<const PackedTrace>;
 
 struct TraceCache
 {
@@ -87,9 +87,8 @@ publishEvictions(size_t dropped)
         return;
     registry
         .counter("autofsm_tracecache_evictions_total",
-                 "Completed entries dropped by the LRU caps of the "
-                 "process-wide trace caches (branch traces and packed "
-                 "conversions).")
+                 "Completed entries dropped by the LRU cap of the "
+                 "process-wide branch-trace cache.")
         .inc(dropped);
 }
 
@@ -122,8 +121,8 @@ cacheKey(const std::string &name, WorkloadInput input,
 }
 
 /**
- * Disk-tier read-through: rebuild the AoS trace from a stored packed
- * blob. Any store failure (including an injected read fault) is a
+ * Disk-tier read-through: wrap a stored trace's mapping in place, no
+ * copy. Any store failure (including an injected read fault) is a
  * clean miss — the caller falls back to generating the trace.
  */
 TracePtr
@@ -140,33 +139,19 @@ loadTraceFromStore(const std::string &key)
     }
     if (!blob)
         return nullptr;
-    auto trace = std::make_shared<BranchTrace>();
-    trace->reserve(blob->count);
-    for (uint64_t i = 0; i < blob->count; ++i) {
-        trace->push_back(
-            {blob->pcs[i],
-             ((blob->takenWords[i >> 6] >> (i & 63)) & 1ULL) != 0});
-    }
-    return trace;
+    return std::make_shared<const PackedTrace>(blob->pcs, blob->takenWords,
+                                               std::move(blob->owner));
 }
 
-/** Best-effort write-through of a freshly built trace (SoA layout). */
+/** Best-effort write-through of a freshly built trace. */
 void
-saveTraceToStore(const std::string &key, const BranchTrace &trace)
+saveTraceToStore(const std::string &key, const PackedTrace &trace)
 {
     const std::shared_ptr<store::ArtifactStore> disk = store::globalStore();
     if (!disk)
         return;
-    const size_t n = trace.size();
-    std::vector<uint64_t> pcs(n);
-    std::vector<uint64_t> words((n + 63) / 64, 0);
-    for (size_t i = 0; i < n; ++i) {
-        pcs[i] = trace[i].pc;
-        if (trace[i].taken)
-            words[i >> 6] |= 1ULL << (i & 63);
-    }
     try {
-        disk->putTrace(key, pcs, words, n);
+        disk->putTrace(key, trace.pcs(), trace.takenWords(), trace.size());
     } catch (...) {
         // Injected mid-commit crash or real IO failure: already logged
         // and counted by the store; the in-memory trace stands.
@@ -175,7 +160,7 @@ saveTraceToStore(const std::string &key, const BranchTrace &trace)
 
 } // anonymous namespace
 
-std::shared_ptr<const BranchTrace>
+std::shared_ptr<const PackedTrace>
 cachedBranchTrace(const std::string &name, WorkloadInput input,
                   size_t approx_branches)
 {
@@ -208,12 +193,12 @@ cachedBranchTrace(const std::string &name, WorkloadInput input,
     if (creator) {
         try {
             AUTOFSM_FAILPOINT("workloads.trace_build");
-            // Disk tier first: a persisted packed trace skips the
-            // workload model entirely. Misses (and any store failure)
+            // Disk tier first: a persisted trace skips the workload
+            // model entirely. Misses (and any store failure)
             // build as before, then spill best-effort for next time.
             TracePtr built = loadTraceFromStore(key);
             if (!built) {
-                built = std::make_shared<const BranchTrace>(
+                built = std::make_shared<const PackedTrace>(
                     makeBranchTrace(name, input, approx_branches));
                 saveTraceToStore(key, *built);
             }

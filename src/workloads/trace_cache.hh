@@ -1,12 +1,19 @@
 /**
  * @file
- * Process-wide memoizing cache over makeBranchTrace.
+ * Process-wide memoizing cache over makeBranchTrace - the one branch-
+ * trace cache.
  *
  * makeBranchTrace is deterministic in its (benchmark, input,
  * approx_branches) triple, yet the seed code regenerated the same
  * trace in figure4, figure5, the trainer example and every bench.
  * cachedBranchTrace builds each distinct trace exactly once per
- * process and hands out shared ownership of the immutable result.
+ * process and hands out shared ownership of the immutable result,
+ * which every consumer (training, sweep, replay, the daemon's trace
+ * refs) reads as is.
+ *
+ * With a process-wide store installed (store::setGlobalStore), misses
+ * first try the disk tier, which wraps the stored container's mapping
+ * zero-copy, and freshly generated traces are written through.
  *
  * Thread-safe: concurrent callers of the same key block on one build
  * (the first caller constructs, the rest wait on a shared future), so
@@ -16,9 +23,9 @@
  * The cache is capped (setBranchTraceCacheCapacity): past the cap, the
  * least-recently-used *completed* entry is evicted — in-flight builds
  * are never dropped, so concurrent callers keep deduplicating — and
- * counted in autofsm_tracecache_evictions_total (shared with the
- * packed-trace memo, sim/packed_trace.hh). Outstanding shared_ptrs to
- * an evicted trace stay valid; only the cache's reference goes away.
+ * counted in autofsm_tracecache_evictions_total. Outstanding
+ * shared_ptrs to an evicted trace stay valid; only the cache's
+ * reference goes away.
  */
 
 #ifndef AUTOFSM_WORKLOADS_TRACE_CACHE_HH
@@ -52,7 +59,7 @@ struct BranchTraceCacheStats
  * shared and immutable; callers must not cast away constness. Throws
  * whatever makeBranchTrace throws (and does not cache the failure).
  */
-std::shared_ptr<const BranchTrace>
+std::shared_ptr<const PackedTrace>
 cachedBranchTrace(const std::string &name, WorkloadInput input,
                   size_t approx_branches = 500000);
 

@@ -75,15 +75,15 @@ TEST(CounterDesignTest, RecoversTwoBitLikeBehaviorFromBiasedSuite)
     // A suite of strongly biased branches: the designed counter must
     // predict 1 after a run of 1s and 0 after a run of 0s, like the
     // 2-bit counter it replaces.
-    std::vector<BranchTrace> suite;
+    std::vector<PackedTrace> suite;
     for (uint64_t seed : {1u, 2u, 3u}) {
         Rng rng(seed);
-        BranchTrace trace;
+        PackedTraceBuilder trace;
         for (int i = 0; i < 5000; ++i) {
-            trace.push_back({0x100, rng.chance(0.9)});
-            trace.push_back({0x200, !rng.chance(0.9)});
+            trace.push(0x100, rng.chance(0.9));
+            trace.push(0x200, !rng.chance(0.9));
         }
-        suite.push_back(std::move(trace));
+        suite.push_back(trace.finish());
     }
 
     FsmDesignOptions options;
@@ -103,13 +103,13 @@ TEST(CounterDesignTest, LocalModelSeparatesInterleavedBranches)
     // Branch A strictly alternates; branch B is always taken. A global
     // (interleaved) view would see pattern 1,1,0,1 noise; the local
     // model must see a clean alternation for A.
-    BranchTrace trace;
+    PackedTraceBuilder trace;
     for (int i = 0; i < 1000; ++i) {
-        trace.push_back({0xA00, i % 2 == 0});
-        trace.push_back({0xB00, true});
+        trace.push(0xA00, i % 2 == 0);
+        trace.push(0xB00, true);
     }
     MarkovModel model(2);
-    collectLocalOutcomeModel(trace, model);
+    collectLocalOutcomeModel(trace.finish(), model);
     // Local history "10" (older taken, newer not) is always followed by
     // taken for A, and "11" always by taken for B.
     EXPECT_DOUBLE_EQ(model.probabilityOne(fromBinary("10")), 1.0);
@@ -224,7 +224,7 @@ TEST(LoopTerminationTest, UnconfidentPredictsTaken)
 
 TEST(PpmEndToEndTest, CompetitiveOnCorrelatedWorkload)
 {
-    const BranchTrace test =
+    const PackedTrace test =
         makeBranchTrace("vortex", WorkloadInput::Test, 30000);
     PpmPredictor ppm;
     XScaleBtb btb;

@@ -227,10 +227,11 @@ TEST(SimulateTest, CountsMispredicts)
 {
     // Always-not-taken BTB vs an all-taken toy trace.
     XScaleBtb btb;
-    BranchTrace trace;
+    PackedTraceBuilder trace;
     for (int i = 0; i < 10; ++i)
-        trace.push_back({0x50, true});
-    const BpredSimResult result = simulateBranchPredictor(btb, trace);
+        trace.push(0x50, true);
+    const BpredSimResult result =
+        simulateBranchPredictor(btb, trace.finish());
     EXPECT_EQ(result.branches, 10u);
     // First prediction misses (BTB empty), then the counter locks on.
     EXPECT_LT(result.mispredicts, 3u);
@@ -240,19 +241,19 @@ TEST(SimulateTest, CountsMispredicts)
 TEST(SimulateTest, PerBranchBreakdown)
 {
     XScaleBtb btb;
-    BranchTrace trace;
+    PackedTraceBuilder trace;
     for (int i = 0; i < 50; ++i) {
-        trace.push_back({0x50, true});
-        trace.push_back({0x60, i % 2 == 0}); // alternating: hard
+        trace.push(0x50, true);
+        trace.push(0x60, i % 2 == 0); // alternating: hard
     }
     std::unordered_map<uint64_t, uint64_t> per_branch;
-    simulateBranchPredictor(btb, trace, per_branch);
+    simulateBranchPredictor(btb, trace.finish(), per_branch);
     EXPECT_GT(per_branch[0x60], per_branch[0x50]);
 }
 
 TEST(TrainerTest, ProfilesWorstBranchFirst)
 {
-    const BranchTrace trace =
+    const PackedTrace trace =
         makeBranchTrace("vortex", WorkloadInput::Train, 30000);
     const auto ranked = profileBaselineMisses(trace);
     ASSERT_GE(ranked.size(), 2u);
@@ -261,7 +262,7 @@ TEST(TrainerTest, ProfilesWorstBranchFirst)
 
 TEST(TrainerTest, TrainsRequestedCount)
 {
-    const BranchTrace trace =
+    const PackedTrace trace =
         makeBranchTrace("ijpeg", WorkloadInput::Train, 30000);
     CustomTrainingOptions options;
     options.maxCustomBranches = 3;
@@ -280,9 +281,9 @@ TEST(TrainerTest, CustomFsmBeatsBaselineOnCorrelatedBranch)
     // End-to-end: on the vortex model (globally-correlated branches),
     // the customized architecture must cut the misprediction rate well
     // below the XScale baseline.
-    const BranchTrace train =
+    const PackedTrace train =
         makeBranchTrace("vortex", WorkloadInput::Train, 40000);
-    const BranchTrace test =
+    const PackedTrace test =
         makeBranchTrace("vortex", WorkloadInput::Test, 40000);
 
     CustomTrainingOptions options;

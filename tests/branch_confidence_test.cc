@@ -72,7 +72,7 @@ TEST(FsmBranchConfidenceTest, SharedMachinePerEntryState)
 
 TEST(MeasureBranchConfidenceTest, CountsAreConsistent)
 {
-    const BranchTrace trace =
+    const PackedTrace trace =
         makeBranchTrace("g721", WorkloadInput::Test, 20000);
     XScaleBtb predictor;
     SudBranchConfidence estimator(10, SudConfig::resetting(4, 4));
@@ -88,7 +88,7 @@ TEST(MeasureBranchConfidenceTest, ResettingCounterIsConservative)
 {
     // A resetting counter with a high threshold asserts confidence only
     // after long correct runs: PVP must exceed the raw accuracy.
-    const BranchTrace trace =
+    const PackedTrace trace =
         makeBranchTrace("gsm", WorkloadInput::Test, 40000);
     XScaleBtb predictor;
     SudBranchConfidence estimator(10, SudConfig::resetting(15, 15));
@@ -104,9 +104,9 @@ TEST(CollectBranchConfidenceModelTest, FsmEstimatorLearnsStructure)
     // On vortex, the XScale is wrong in clusters (the correlated
     // branches); an FSM trained on the correctness stream must reach a
     // much better PVN than a resetting counter at similar sensitivity.
-    const BranchTrace train =
+    const PackedTrace train =
         makeBranchTrace("vortex", WorkloadInput::Train, 40000);
-    const BranchTrace test =
+    const PackedTrace test =
         makeBranchTrace("vortex", WorkloadInput::Test, 40000);
 
     MarkovModel model(8);

@@ -130,6 +130,24 @@ TEST(ProfileTest, FlatSingleOrderTrainingMatchesSparse)
     }
 }
 
+// Word-packed training reads the outcome words a PackedTrace holds;
+// it must match per-outcome training at lengths around the word
+// boundary, where the last word is partial or exactly full.
+TEST(ProfileTest, WordTrainingMatchesPerOutcomeAtWordEdges)
+{
+    for (size_t length : {size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                          size_t{1000}}) {
+        const std::vector<int> trace = randomTrace(0x3C + length, length);
+        const std::vector<uint64_t> words = packWords(trace);
+        for (int order : {1, 2, 9, 24}) {
+            EXPECT_TRUE(markovEqual(
+                trainMarkovModel(trace, order),
+                trainMarkovModelWords(words.data(), trace.size(), order)))
+                << "length " << length << ", order " << order;
+        }
+    }
+}
+
 TEST(ProfileTest, WarmupEdgesAtTracesShorterThanMaxOrder)
 {
     // Traces shorter than (or comparable to) the maximum order consist
@@ -271,11 +289,12 @@ TEST(ProfileTest, SharedWalkCreditsCountStageOnce)
     // Eight branches with random outcomes, so the baseline mispredicts
     // every one of them and the walk feeds several counters.
     Rng rng(0x5eed);
-    BranchTrace trace;
+    PackedTraceBuilder builder;
     for (int i = 0; i < 20000; ++i) {
-        trace.push_back({0x1000 + 4 * static_cast<uint64_t>(i % 8),
-                         rng.uniform() < 0.5});
+        builder.push(0x1000 + 4 * static_cast<uint64_t>(i % 8),
+                     rng.uniform() < 0.5);
     }
+    const PackedTrace trace = builder.finish();
     const obs::HistogramValue before = countStageHistogram();
     const std::vector<BranchModelSweep> sweeps =
         collectBranchModelSweeps(trace, {4, 6});

@@ -32,7 +32,6 @@
 #include "serve/frame.hh"
 #include "serve/net.hh"
 #include "serve/server.hh"
-#include "sim/packed_trace.hh"
 #include "store/store.hh"
 #include "support/failpoint.hh"
 #include "support/json_parse.hh"
@@ -502,6 +501,56 @@ TEST(DesignApiTest, DesignFlowMatchesRunDesignRequest)
               dfaToText(direct.design.fsm));
 }
 
+// The workload resolver shares the trace cache's entry as is: the model
+// trained over its outcome words equals per-outcome training on the
+// unpacked stream for every benchmark and input, at flat and sparse
+// orders, and the evaluation stream borrows the same words.
+TEST(DesignApiTest, TraceRefResolvesToTheCachedPackedTrace)
+{
+    serve::installWorkloadTraceResolver();
+    for (const std::string &name : branchBenchmarkNames()) {
+        for (const WorkloadInput input :
+             {WorkloadInput::Train, WorkloadInput::Test}) {
+            DesignRequest request;
+            request.traceRef =
+                name + (input == WorkloadInput::Test ? ":test" : ":train");
+            request.traceBranches = 100000;
+            const auto trace =
+                traceRefResolver()(request.traceRef, request.traceBranches);
+            ASSERT_TRUE(trace != nullptr);
+            EXPECT_EQ(trace, cachedBranchTrace(name, input, 100000));
+
+            const OutcomeWords stream = resolveRequestOutcomes(request);
+            EXPECT_EQ(stream.words.data(), trace->takenWords().data());
+            EXPECT_EQ(stream.bits, trace->size());
+
+            std::vector<int> outcomes;
+            outcomes.reserve(trace->size());
+            for (const BranchRecord record : *trace)
+                outcomes.push_back(record.taken ? 1 : 0);
+            for (const int order : {1, 2, 10, 24}) {
+                request.options.order = order;
+                EXPECT_TRUE(markovEqual(resolveRequestModel(request),
+                                        trainMarkovModel(outcomes, order)))
+                    << request.traceRef << " order " << order;
+            }
+            if (name == "gsm" && input == WorkloadInput::Test) {
+                // The design path trains over the same words and still
+                // records its markov stage.
+                request.options.order = 9;
+                const FlowResult flow = runDesignRequest(request);
+                EXPECT_NE(flow.trace.find(FlowStage::Markov), nullptr);
+                EXPECT_EQ(dfaToText(flow.design.fsm),
+                          dfaToText(DesignFlow(request.options)
+                                        .runOnTrace(outcomes)
+                                        .design.fsm));
+            }
+        }
+    }
+    setTraceRefResolver(nullptr);
+    clearBranchTraceCache();
+}
+
 TEST(DesignApiTest, RequestsEngineMixedSourcesDedupAndIsolation)
 {
     const std::vector<int> trace = syntheticTrace(1);
@@ -580,7 +629,6 @@ class ServerTest : public ::testing::Test
         store::setGlobalStore(nullptr);
         clearDesignMemo();
         clearBranchTraceCache();
-        clearPackedTraceCache();
     }
 
     /** Start with the bit-identical comparison configuration. */
@@ -1114,7 +1162,6 @@ TEST_F(ServerTest, WarmRestartServesIdenticalArtifactFromStore)
     store::setGlobalStore(nullptr);
     clearDesignMemo();
     clearBranchTraceCache();
-    clearPackedTraceCache();
 
     startServer(options);
     serve::Client client = connect();

@@ -87,7 +87,7 @@ TEST(Figure5Test, CurveMatchesDirectCustomSimulation)
     Fig5Options options = smallFig5();
     options.training.maxCustomBranches = 3;
     const Fig5Benchmark result = runFigure5("gsm", options);
-    const BranchTrace test = makeBranchTrace(
+    const PackedTrace test = makeBranchTrace(
         "gsm", WorkloadInput::Test, options.branchesPerRun);
 
     for (size_t k = 1; k <= result.trained.size(); ++k) {

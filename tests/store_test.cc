@@ -13,17 +13,17 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "automata/dfa_io.hh"
 #include "flow/design_flow.hh"
 #include "flow/design_memo.hh"
-#include "sim/packed_trace.hh"
 #include "store/store.hh"
 #include "support/failpoint.hh"
 #include "support/rng.hh"
-#include "trace/branch_trace.hh"
+#include "trace/packed_trace.hh"
 #include "workloads/branch_workloads.hh"
 #include "workloads/trace_cache.hh"
 
@@ -94,32 +94,54 @@ class StoreTest : public ::testing::Test
 };
 
 /** A deterministic trace with non-trivial pc and outcome structure. */
-BranchTrace
+PackedTrace
 syntheticBranchTrace(size_t n, uint64_t seed)
 {
     Rng rng(0x570E ^ seed);
-    BranchTrace trace;
-    trace.reserve(n);
+    PackedTraceBuilder trace(n);
     for (size_t i = 0; i < n; ++i) {
-        trace.push_back({0x400000 + (i % 17) * 4,
-                         rng.uniform() < 0.6 || (i % 7) == 0});
+        trace.push(0x400000 + (i % 17) * 4,
+                   rng.uniform() < 0.6 || (i % 7) == 0);
     }
-    return trace;
+    return trace.finish();
 }
 
 /** SoA form of @p trace (what the cache tier spills). */
 void
-packTrace(const BranchTrace &trace, std::vector<uint64_t> &pcs,
+packTrace(const PackedTrace &trace, std::vector<uint64_t> &pcs,
           std::vector<uint64_t> &words)
 {
     const size_t n = trace.size();
     pcs.assign(n, 0);
     words.assign((n + 63) / 64, 0);
     for (size_t i = 0; i < n; ++i) {
-        pcs[i] = trace[i].pc;
-        if (trace[i].taken)
+        pcs[i] = trace.pc(i);
+        if (trace.taken(i))
             words[i >> 6] |= 1ULL << (i & 63);
     }
+}
+
+/**
+ * The file backing the mapping that contains @p address, read from
+ * /proc/self/maps; empty when the address is not file-mapped.
+ */
+std::string
+mappedFileOf(const void *address)
+{
+    const auto target = reinterpret_cast<uintptr_t>(address);
+    std::ifstream maps("/proc/self/maps");
+    std::string line;
+    while (std::getline(maps, line)) {
+        std::istringstream fields(line);
+        std::string range, perms, offset, device, inode, path;
+        fields >> range >> perms >> offset >> device >> inode >> path;
+        const size_t dash = range.find('-');
+        const uintptr_t begin = std::stoull(range.substr(0, dash), nullptr, 16);
+        const uintptr_t end = std::stoull(range.substr(dash + 1), nullptr, 16);
+        if (target >= begin && target < end)
+            return path;
+    }
+    return {};
 }
 
 /** A real designed artifact (runs the flow on a synthetic stream). */
@@ -153,7 +175,7 @@ syntheticArtifact()
 
 TEST_F(StoreTest, TraceRoundTripIsBitIdentical)
 {
-    const BranchTrace trace = syntheticBranchTrace(1000, 1);
+    const PackedTrace trace = syntheticBranchTrace(1000, 1);
     std::vector<uint64_t> pcs, words;
     packTrace(trace, pcs, words);
 
@@ -172,8 +194,8 @@ TEST_F(StoreTest, TraceRoundTripIsBitIdentical)
     // The zero-copy PackedTrace over the mapping replays identically to
     // a freshly packed one — same pcs, same outcome bits, record by
     // record.
-    const PackedTrace fromDisk(*blob);
-    const PackedTrace fromMemory(trace);
+    const PackedTrace fromDisk(blob->pcs, blob->takenWords, blob->owner);
+    const PackedTrace &fromMemory = trace;
     ASSERT_EQ(fromDisk.size(), fromMemory.size());
     for (size_t i = 0; i < fromDisk.size(); ++i) {
         ASSERT_EQ(fromDisk.pc(i), fromMemory.pc(i)) << "record " << i;
@@ -441,10 +463,41 @@ TEST_F(StoreTest, TraceCacheSpillsAndReloads)
     EXPECT_GT(store::globalStore()->stats().hits, diskHitsBefore);
     ASSERT_EQ(reloaded->size(), built->size());
     for (size_t i = 0; i < built->size(); ++i) {
-        ASSERT_EQ((*reloaded)[i].pc, (*built)[i].pc) << "record " << i;
-        ASSERT_EQ((*reloaded)[i].taken, (*built)[i].taken)
+        ASSERT_EQ(reloaded->pc(i), built->pc(i)) << "record " << i;
+        ASSERT_EQ(reloaded->taken(i), built->taken(i))
             << "record " << i;
     }
+}
+
+// The disk tier hands out the stored container itself: the reloaded
+// trace's arrays live inside the store file's mapping (no copy), and
+// its records are the generator's, word for word.
+TEST_F(StoreTest, DiskTierTraceIsAZeroCopyViewOfTheStoreFile)
+{
+    store::setGlobalStore(
+        std::make_shared<store::ArtifactStore>(options()));
+    clearBranchTraceCache();
+    ASSERT_TRUE(cachedBranchTrace("gsm", WorkloadInput::Train, 3000) !=
+                nullptr);
+    const std::string entry = onlyEntry("traces");
+    ASSERT_FALSE(entry.empty());
+
+    clearBranchTraceCache();
+    const auto loaded = cachedBranchTrace("gsm", WorkloadInput::Train, 3000);
+    ASSERT_TRUE(loaded != nullptr);
+    const std::string stored = fs::canonical(entry).string();
+    EXPECT_EQ(mappedFileOf(loaded->pcs().data()), stored);
+    EXPECT_EQ(mappedFileOf(loaded->takenWords().data()), stored);
+
+    const PackedTrace generated =
+        makeBranchTrace("gsm", WorkloadInput::Train, 3000);
+    ASSERT_EQ(loaded->size(), generated.size());
+    EXPECT_TRUE(std::equal(loaded->pcs().begin(), loaded->pcs().end(),
+                           generated.pcs().begin()));
+    ASSERT_EQ(loaded->takenWords().size(), generated.takenWords().size());
+    EXPECT_TRUE(std::equal(loaded->takenWords().begin(),
+                           loaded->takenWords().end(),
+                           generated.takenWords().begin()));
 }
 
 TEST_F(StoreTest, CacheTiersSurviveACorruptStoreEntry)

@@ -1,12 +1,12 @@
 /**
  * @file
- * Sweep-engine tests: the packed trace round-trips, the production
+ * Sweep-engine tests: the trace builder round-trips, the production
  * predictor classes match the plain reference predictors
  * (reference_predictors.hh) through both their virtual and fused
  * interfaces, the transposed custom replay matches per-record machine
  * stepping, parallel sweeps match serial ones, every exported sweep
  * timing cell is exercised, and the process-wide trace cache is safe
- * under concurrent access.
+ * under concurrent access and honours its LRU cap.
  */
 
 #include <gtest/gtest.h>
@@ -28,8 +28,9 @@
 #include "obs/metrics.hh"
 #include "sim/figure5.hh"
 #include "sim/nested_sweep.hh"
-#include "sim/packed_trace.hh"
 #include "sim/sweep.hh"
+#include "support/rng.hh"
+#include "trace/packed_trace.hh"
 #include "workloads/trace_cache.hh"
 
 #include "reference_predictors.hh"
@@ -41,17 +42,47 @@ namespace
 
 constexpr size_t kBranches = 20000;
 
+// Every record pushed comes back through each accessor, at lengths
+// around the outcome-word boundary, with the last word's trailing bits
+// zero (the layout the store and the replay engines rely on).
 TEST(PackedTraceTest, RoundTripsEveryRecord)
 {
-    const BranchTrace trace =
-        makeBranchTrace("gsm", WorkloadInput::Train, kBranches);
-    const PackedTrace packed(trace);
+    for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                     size_t{65}, size_t{1000}}) {
+        Rng rng(n + 1);
+        std::vector<BranchRecord> records(n);
+        for (BranchRecord &record : records)
+            record = {0x1000 + 4 * rng.below(37), rng.chance(0.5)};
+        PackedTraceBuilder builder(n / 2); // pushes past the reservation
+        for (const BranchRecord &record : records)
+            builder.push(record.pc, record.taken);
+        const PackedTrace trace = builder.finish();
 
-    ASSERT_EQ(packed.size(), trace.size());
-    for (size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_EQ(packed.pc(i), trace[i].pc);
-        EXPECT_EQ(packed.taken(i), trace[i].taken);
+        ASSERT_EQ(trace.size(), n);
+        ASSERT_EQ(trace.takenWords().size(), (n + 63) / 64);
+        if (n % 64 != 0) {
+            EXPECT_EQ(trace.takenWords().back() >> (n % 64), 0u) << n;
+        }
+        size_t i = 0;
+        for (const BranchRecord record : trace) {
+            EXPECT_EQ(record.pc, records[i].pc) << n << " " << i;
+            EXPECT_EQ(record.taken, records[i].taken) << n << " " << i;
+            EXPECT_EQ(trace.pc(i), records[i].pc);
+            EXPECT_EQ(trace.taken(i), records[i].taken);
+            ++i;
+        }
+        EXPECT_EQ(i, n);
     }
+}
+
+/** The first @p length records of @p trace, rebuilt. */
+PackedTrace
+prefixOf(const PackedTrace &trace, size_t length)
+{
+    PackedTraceBuilder prefix(length);
+    for (size_t i = 0; i < length; ++i)
+        prefix.push(trace.pc(i), trace.taken(i));
+    return prefix.finish();
 }
 
 /**
@@ -62,7 +93,7 @@ TEST(PackedTraceTest, RoundTripsEveryRecord)
  */
 template <class Production, class Reference, class Config>
 void
-expectMatchesReference(const Config &config, const BranchTrace &trace,
+expectMatchesReference(const Config &config, const PackedTrace &trace,
                        const std::string &context)
 {
     Reference reference(config);
@@ -71,7 +102,7 @@ expectMatchesReference(const Config &config, const BranchTrace &trace,
     const BpredSimResult want = simulateBranchPredictor(reference, trace);
     const BpredSimResult got_virtual = simulateBranchPredictor(virt, trace);
     const BpredSimResult got_fused =
-        sweepKernelRaw(fused, PackedTrace(trace));
+        sweepKernelRaw(fused, trace);
 
     EXPECT_EQ(got_virtual.branches, want.branches) << context;
     EXPECT_EQ(got_fused.branches, want.branches) << context;
@@ -94,13 +125,11 @@ expectMatchesReference(const Config &config, const BranchTrace &trace,
 TEST(ReferencePredictorTest, ProductionClassesMatchReference)
 {
     for (const std::string &name : branchBenchmarkNames()) {
-        const BranchTrace full =
+        const PackedTrace full =
             makeBranchTrace(name, WorkloadInput::Test, kBranches);
         for (size_t length : {full.size(), size_t{1}, size_t{63},
                               size_t{64}, size_t{65}}) {
-            const BranchTrace trace(full.begin(),
-                                    full.begin() +
-                                        static_cast<ptrdiff_t>(length));
+            const PackedTrace trace = prefixOf(full, length);
             const std::string at =
                 name + " n=" + std::to_string(length) + " ";
 
@@ -137,9 +166,8 @@ TEST(ReferencePredictorTest, LocalGlobalChooserRejectsOversizedGeometry)
 
 TEST(SweepKernelTest, BatchMatchesIndividualRuns)
 {
-    const BranchTrace trace =
+    const PackedTrace packed =
         makeBranchTrace("vortex", WorkloadInput::Test, kBranches);
-    const PackedTrace packed(trace);
 
     std::vector<int> sizes = {8, 10, 12};
     std::vector<Gshare> batch;
@@ -165,7 +193,7 @@ TEST(SweepKernelTest, BatchMatchesIndividualRuns)
 
 TEST(CustomReplayTest, MatchesDirectMachineStepping)
 {
-    const BranchTrace train =
+    const PackedTrace train =
         makeBranchTrace("ijpeg", WorkloadInput::Train, kBranches);
     CustomTrainingOptions options;
     options.maxCustomBranches = 4;
@@ -186,7 +214,7 @@ TEST(CustomReplayTest, MatchesDirectMachineStepping)
     uint64_t btb_misses_total = 0;
     std::vector<uint64_t> btb_misses(trained.size(), 0);
     std::vector<uint64_t> fsm_misses(trained.size(), 0);
-    for (const auto &record : train) {
+    for (const BranchRecord record : train) {
         const bool wrong = btb.predict(record.pc) != record.taken;
         btb_misses_total += wrong;
         const auto it = machine_of.find(record.pc);
@@ -203,9 +231,8 @@ TEST(CustomReplayTest, MatchesDirectMachineStepping)
     std::vector<CustomSweepMachine> sweep_machines;
     for (const auto &branch : trained)
         sweep_machines.push_back({branch.pc, &branch.design.fsm});
-    const PackedTrace packed(train);
     const CustomReplayCounts counts = replayCustomMachines(
-        sweep_machines, packed, btb_config, costs, 1);
+        sweep_machines, train, btb_config, costs, 1);
 
     EXPECT_EQ(counts.btbMissesTotal, btb_misses_total);
     EXPECT_EQ(counts.btbMisses, btb_misses);
@@ -218,7 +245,7 @@ TEST(CustomReplayTest, MatchesDirectMachineStepping)
 // must yield exactly what re-simulating the baseline BTB would.
 TEST(CustomReplayTest, ProfileDrivenReplayMatchesBtbPass)
 {
-    const BranchTrace train =
+    const PackedTrace train =
         makeBranchTrace("gsm", WorkloadInput::Train, kBranches);
     CustomTrainingOptions options;
     options.maxCustomBranches = 4;
@@ -231,11 +258,10 @@ TEST(CustomReplayTest, ProfileDrivenReplayMatchesBtbPass)
     std::vector<CustomSweepMachine> machines;
     for (const auto &branch : trained)
         machines.push_back({branch.pc, &branch.design.fsm});
-    const PackedTrace packed(train);
 
     const AreaCosts costs;
     const CustomReplayCounts from_pass = replayCustomMachines(
-        machines, packed, options.baseline, costs, 1);
+        machines, train, options.baseline, costs, 1);
 
     CustomBaselineProfile baseline;
     baseline.btbMissesTotal = profile.mispredicts;
@@ -248,7 +274,7 @@ TEST(CustomReplayTest, ProfileDrivenReplayMatchesBtbPass)
         baseline.positions.push_back(&branch.trainPositions);
     }
     const CustomReplayCounts from_profile =
-        replayCustomMachines(machines, packed, baseline, 1);
+        replayCustomMachines(machines, train, baseline, 1);
 
     EXPECT_EQ(from_pass.btbMissesTotal, from_profile.btbMissesTotal);
     EXPECT_EQ(from_pass.btbMisses, from_profile.btbMisses);
@@ -276,9 +302,9 @@ expectSeriesIdentical(const AreaMissSeries &a, const AreaMissSeries &b)
 // sweep points and custom replays over the shared packed trace.
 TEST(SweepParallelTest, ParallelSweepMatchesSerial)
 {
-    const BranchTrace train =
+    const PackedTrace train =
         makeBranchTrace("g721", WorkloadInput::Train, kBranches);
-    const BranchTrace test =
+    const PackedTrace test =
         makeBranchTrace("g721", WorkloadInput::Test, kBranches);
 
     Fig5Options options;
@@ -307,8 +333,7 @@ TEST(SweepParallelTest, ParallelSweepMatchesSerial)
     // The profile-driven custom-same path must not change anything
     // either (parallel + profile is what runFigure5 actually runs).
     const Fig5Benchmark profiled =
-        evaluateFigure5("g721", PackedTrace(train), PackedTrace(test),
-                        trained, options, &profile);
+        evaluateFigure5("g721", train, test, trained, options, &profile);
     EXPECT_EQ(serial.xscale.area, profiled.xscale.area);
     EXPECT_EQ(serial.xscale.missRate, profiled.xscale.missRate);
     expectSeriesIdentical(serial.customSame, profiled.customSame);
@@ -349,7 +374,7 @@ TEST(TraceCacheTest, ConcurrentCallersShareOneBuild)
     clearBranchTraceCache();
 
     constexpr int kThreads = 8;
-    std::vector<std::shared_ptr<const BranchTrace>> got(kThreads);
+    std::vector<std::shared_ptr<const PackedTrace>> got(kThreads);
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
@@ -418,40 +443,61 @@ TEST(TraceCacheTest, LruCapEvictsColdestCompletedEntry)
     clearBranchTraceCache();
 }
 
-TEST(PackedTraceCacheTest, LruCapEvictsColdestPacking)
+#ifndef AUTOFSM_NO_TELEMETRY
+uint64_t
+traceEvictionsCounter()
 {
-    clearPackedTraceCache();
-    const size_t previous = setPackedTraceCacheCapacity(2);
+    for (const obs::MetricValue &metric :
+         obs::globalMetrics().snapshot().metrics) {
+        if (metric.name == "autofsm_tracecache_evictions_total")
+            return metric.count;
+    }
+    return 0;
+}
+#endif
 
-    auto trace = [](uint64_t seed) {
-        auto t = std::make_shared<BranchTrace>();
-        for (int i = 0; i < 100; ++i)
-            t->push_back({seed * 1000 + static_cast<uint64_t>(i % 7) * 4,
-                          i % 3 == 0});
-        return std::shared_ptr<const BranchTrace>(std::move(t));
-    };
-    const auto t1 = trace(1);
-    const auto t2 = trace(2);
-    const auto t3 = trace(3);
+// Lowering the cap evicts least-recently-used completed traces at
+// once (and counts them); a caller still holding an evicted trace keeps
+// a valid one, and the next lookup rebuilds the same records.
+TEST(TraceCacheTest, LoweringTheCapEvictsImmediately)
+{
+    clearBranchTraceCache();
+    const size_t previous = setBranchTraceCacheCapacity(0);
+#ifndef AUTOFSM_NO_TELEMETRY
+    const uint64_t counted_before = traceEvictionsCounter();
+#endif
 
-    const auto p1 = cachedPackedTrace(t1);
-    const auto p2 = cachedPackedTrace(t2);
-    cachedPackedTrace(t1); // touch t1: t2 becomes the victim
-    const auto p3 = cachedPackedTrace(t3);
-    (void)p3;
+    const auto t1 = cachedBranchTrace("gs", WorkloadInput::Train, 2000);
+    const auto t2 = cachedBranchTrace("gs", WorkloadInput::Test, 2000);
+    const auto t3 = cachedBranchTrace("gsm", WorkloadInput::Train, 2000);
+    cachedBranchTrace("gs", WorkloadInput::Train, 2000); // touch t1
+    EXPECT_EQ(branchTraceCacheStats().entries, 3u);
 
-    PackedTraceCacheStats stats = packedTraceCacheStats();
-    EXPECT_EQ(stats.entries, 2u);
-    EXPECT_EQ(stats.evictions, 1u);
-    EXPECT_EQ(stats.capacity, 2u);
+    // t2 and t3 are now the coldest; a cap of one keeps only t1.
+    EXPECT_EQ(setBranchTraceCacheCapacity(1), 0u);
+    BranchTraceCacheStats stats = branchTraceCacheStats();
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.evictions, 2u);
+    EXPECT_EQ(stats.capacity, 1u);
+    EXPECT_EQ(stats.cachedBranches, t1->size());
+#ifndef AUTOFSM_NO_TELEMETRY
+    EXPECT_EQ(traceEvictionsCounter() - counted_before, 2u);
+#endif
 
-    EXPECT_EQ(cachedPackedTrace(t1), p1);
-    const auto p2_again = cachedPackedTrace(t2);
-    EXPECT_NE(p2_again, p2); // rebuilt after eviction
-    EXPECT_EQ(p2_again->size(), p2->size());
+    EXPECT_EQ(cachedBranchTrace("gs", WorkloadInput::Train, 2000), t1);
+    const PackedTrace fresh = makeBranchTrace("gs", WorkloadInput::Test, 2000);
+    ASSERT_EQ(t2->size(), fresh.size());
+    EXPECT_TRUE(std::equal(t2->pcs().begin(), t2->pcs().end(),
+                           fresh.pcs().begin()));
+    const auto t2_again = cachedBranchTrace("gs", WorkloadInput::Test, 2000);
+    EXPECT_NE(t2_again, t2); // rebuilt after eviction
+    EXPECT_TRUE(std::equal(t2_again->takenWords().begin(),
+                           t2_again->takenWords().end(),
+                           t2->takenWords().begin()));
+    (void)t3;
 
-    setPackedTraceCacheCapacity(previous);
-    clearPackedTraceCache();
+    setBranchTraceCacheCapacity(previous);
+    clearBranchTraceCache();
 }
 
 /** The Figure-5 sweep shape plus the XScale BTB point. */
@@ -528,7 +574,7 @@ expectNestedMatchesKernels(const NestedSweepRequest &request,
 // counts, and both SIMD settings. The partition must be invisible.
 TEST(NestedSweepTest, MatchesPerConfigKernelsAcrossShardsAndSimd)
 {
-    const BranchTrace trace =
+    const PackedTrace trace =
         makeBranchTrace("compress", WorkloadInput::Test, kBranches);
     const PackedTrace packed(trace);
     const NestedSweepRequest request = figure5Request();
@@ -560,7 +606,7 @@ TEST(NestedSweepTest, ShortAndMidWordTracesStayExact)
     const NestedSweepRequest request = figure5Request();
     for (size_t n : {size_t{1}, size_t{5}, size_t{63}, size_t{64},
                      size_t{65}, size_t{130}, size_t{12345}}) {
-        const BranchTrace trace =
+        const PackedTrace trace =
             makeBranchTrace("gsm", WorkloadInput::Test, n);
         const PackedTrace packed(trace);
         for (size_t shards : {size_t{1}, size_t{3}, size_t{7},
@@ -580,7 +626,7 @@ TEST(NestedSweepTest, ShortAndMidWordTracesStayExact)
 // back to the batch path - still bit-identical, just not fused.
 TEST(NestedSweepTest, NonNestingGshareFallsBackIdentically)
 {
-    const BranchTrace trace =
+    const PackedTrace trace =
         makeBranchTrace("vortex", WorkloadInput::Test, kBranches);
     const PackedTrace packed(trace);
 
@@ -626,7 +672,7 @@ TEST(NestedSweepTest, GshareConfigsNestPredicate)
 
 TEST(NestedSweepTest, EmptyFamiliesAndEmptyTrace)
 {
-    const BranchTrace trace =
+    const PackedTrace trace =
         makeBranchTrace("gs", WorkloadInput::Test, kBranches);
     const PackedTrace packed(trace);
 
@@ -637,7 +683,7 @@ TEST(NestedSweepTest, EmptyFamiliesAndEmptyTrace)
     EXPECT_TRUE(none.btb.empty());
     EXPECT_EQ(none.stats.pointsPerPass, 0u);
 
-    const PackedTrace empty{BranchTrace{}};
+    const PackedTrace empty;
     NestedSweepOptions options;
     options.threads = 3;
     options.shards = 7;

@@ -7,9 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 
 #include "support/history.hh"
-#include "trace/branch_trace.hh"
+#include "trace/packed_trace.hh"
 #include "workloads/branch_workloads.hh"
 #include "workloads/value_workloads.hh"
 
@@ -28,27 +29,27 @@ TEST(BranchWorkloadTest, SixBenchmarks)
 
 TEST(BranchWorkloadTest, Deterministic)
 {
-    const BranchTrace a =
+    const PackedTrace a =
         makeBranchTrace("ijpeg", WorkloadInput::Train, 5000);
-    const BranchTrace b =
+    const PackedTrace b =
         makeBranchTrace("ijpeg", WorkloadInput::Train, 5000);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].pc, b[i].pc);
-        EXPECT_EQ(a[i].taken, b[i].taken);
+        EXPECT_EQ(a.pc(i), b.pc(i));
+        EXPECT_EQ(a.taken(i), b.taken(i));
     }
 }
 
 TEST(BranchWorkloadTest, InputsDiffer)
 {
-    const BranchTrace train =
+    const PackedTrace train =
         makeBranchTrace("ijpeg", WorkloadInput::Train, 5000);
-    const BranchTrace test =
+    const PackedTrace test =
         makeBranchTrace("ijpeg", WorkloadInput::Test, 5000);
     size_t diffs = 0;
     const size_t n = std::min(train.size(), test.size());
     for (size_t i = 0; i < n; ++i)
-        diffs += train[i].taken != test[i].taken;
+        diffs += train.taken(i) != test.taken(i);
     EXPECT_GT(diffs, n / 100); // data differs...
     // ...but the program structure (branch sites) is shared.
     const BranchProfile p1 = profileTrace(train);
@@ -56,10 +57,77 @@ TEST(BranchWorkloadTest, InputsDiffer)
     EXPECT_EQ(p1.size(), p2.size());
 }
 
+/** FNV-1a over the bytes (little-endian) of @p words, continuing @p h. */
+uint64_t
+fnv1a(uint64_t h, std::span<const uint64_t> words)
+{
+    for (const uint64_t word : words) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (word >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+// Digests (pcs, then outcome words) recorded from the record-list
+// generator that preceded PackedTraceBuilder: generation must keep
+// reproducing every record of every benchmark, both inputs, short and
+// full size.
+TEST(BranchWorkloadTest, GeneratorMatchesRecordedDigests)
+{
+    struct Golden
+    {
+        const char *name;
+        WorkloadInput input;
+        size_t approx;
+        size_t size;
+        uint64_t digest;
+    };
+    constexpr WorkloadInput kTrain = WorkloadInput::Train;
+    constexpr WorkloadInput kTest = WorkloadInput::Test;
+    const Golden goldens[] = {
+        {"compress", kTrain, 20000, 20003, 0x26e7f92c8752c93dULL},
+        {"compress", kTest, 20000, 20003, 0x26dc44396a1fd55eULL},
+        {"ijpeg", kTrain, 20000, 20008, 0x45c6920676577e66ULL},
+        {"ijpeg", kTest, 20000, 20008, 0xe8da658e96691658ULL},
+        {"vortex", kTrain, 20000, 20020, 0x3f49c087a768ff6bULL},
+        {"vortex", kTest, 20000, 20020, 0x2ee2e015fe43f6e5ULL},
+        {"gsm", kTrain, 20000, 20007, 0x96e691241a468bb3ULL},
+        {"gsm", kTest, 20000, 20007, 0x79a321157e6f7649ULL},
+        {"g721", kTrain, 20000, 20000, 0x18ccd0b813d314ddULL},
+        {"g721", kTest, 20000, 20008, 0xd77addcad42ecde7ULL},
+        {"gs", kTrain, 20000, 20034, 0xcaf1717ce772d148ULL},
+        {"gs", kTest, 20000, 20034, 0xca4addc8bd051db6ULL},
+        {"compress", kTrain, 400000, 400004, 0xfa71f0f9bc083c7bULL},
+        {"compress", kTest, 400000, 400005, 0x3e0151d9bca6e21eULL},
+        {"ijpeg", kTrain, 400000, 400078, 0x2c7caae2ca8cfe0fULL},
+        {"ijpeg", kTest, 400000, 400078, 0xd15b5ca4e3dda297ULL},
+        {"vortex", kTrain, 400000, 400015, 0xe2cc8f552b146652ULL},
+        {"vortex", kTest, 400000, 400015, 0xd1d80c643c88ae29ULL},
+        {"gsm", kTrain, 400000, 400026, 0x5d6c6acf9f8731b3ULL},
+        {"gsm", kTest, 400000, 400026, 0x3ae36a575c728c17ULL},
+        {"g721", kTrain, 400000, 400000, 0x31787f5eb26e6ab6ULL},
+        {"g721", kTest, 400000, 400037, 0xc9c3032ef1db57b1ULL},
+        {"gs", kTrain, 400000, 400044, 0x9abfc7284ecc0498ULL},
+        {"gs", kTest, 400000, 400044, 0x329a7de496389974ULL},
+    };
+    for (const Golden &golden : goldens) {
+        const PackedTrace trace =
+            makeBranchTrace(golden.name, golden.input, golden.approx);
+        const uint64_t digest = fnv1a(
+            fnv1a(0xcbf29ce484222325ULL, trace.pcs()), trace.takenWords());
+        EXPECT_EQ(trace.size(), golden.size)
+            << golden.name << " " << golden.approx;
+        EXPECT_EQ(digest, golden.digest)
+            << golden.name << " " << golden.approx;
+    }
+}
+
 TEST(BranchWorkloadTest, ReachesRequestedLength)
 {
     for (const auto &name : branchBenchmarkNames()) {
-        const BranchTrace trace =
+        const PackedTrace trace =
             makeBranchTrace(name, WorkloadInput::Train, 20000);
         EXPECT_GE(trace.size(), 20000u) << name;
         EXPECT_LT(trace.size(), 21000u) << name; // one round of slack
@@ -69,7 +137,7 @@ TEST(BranchWorkloadTest, ReachesRequestedLength)
 TEST(BranchWorkloadTest, EveryBenchmarkHasMultipleSites)
 {
     for (const auto &name : branchBenchmarkNames()) {
-        const BranchTrace trace =
+        const PackedTrace trace =
             makeBranchTrace(name, WorkloadInput::Train, 20000);
         const BranchProfile profile = profileTrace(trace);
         EXPECT_GE(profile.size(), 5u) << name;
@@ -88,7 +156,7 @@ TEST(BranchWorkloadTest, VortexIsGloballyPredictable)
     // The vortex model's claim: branch outcomes are near-deterministic
     // functions of the global history. Measure the best achievable
     // accuracy of an oracle keyed by (pc, 8-bit global history).
-    const BranchTrace trace =
+    const PackedTrace trace =
         makeBranchTrace("vortex", WorkloadInput::Train, 40000);
 
     // First pass: majority vote per (pc, history) key.
@@ -168,9 +236,13 @@ TEST(ValueWorkloadTest, UnknownBenchmarkThrows)
 
 TEST(TraceProfileTest, CountsPerBranch)
 {
-    BranchTrace trace = {
-        {0x10, true}, {0x10, false}, {0x20, true}, {0x10, true}};
-    const BranchProfile profile = profileTrace(trace);
+    PackedTraceBuilder trace;
+    for (const BranchRecord record : {BranchRecord{0x10, true},
+                                      BranchRecord{0x10, false},
+                                      BranchRecord{0x20, true},
+                                      BranchRecord{0x10, true}})
+        trace.push(record.pc, record.taken);
+    const BranchProfile profile = profileTrace(trace.finish());
     ASSERT_EQ(profile.size(), 2u);
     EXPECT_EQ(profile.at(0x10).executions, 3u);
     EXPECT_EQ(profile.at(0x10).taken, 2u);
