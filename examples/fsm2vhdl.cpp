@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "automata/dfa.hh"
-#include "automata/nfa.hh"
 #include "automata/regex.hh"
 #include "logicmin/minimize.hh"
 #include "synth/area.hh"
@@ -76,14 +75,12 @@ main(int argc, char **argv)
     }
     const Cover cover = minimize(table);
 
-    const Regex regex = regexFromCover(cover);
-    const Dfa fsm = Dfa::fromNfa(Nfa::fromRegex(regex))
-                        .minimizeHopcroft()
-                        .steadyStateReduce();
+    const Dfa fsm =
+        Dfa::fromCover(cover).minimizeHopcroft().steadyStateReduce();
 
     const AreaEstimate area = estimateFsmArea(fsm);
     std::cout << "minimized patterns: " << cover.toString() << "\n";
-    std::cout << "regular expression: " << regex.toString() << "\n";
+    std::cout << "regular expression: " << regexText(cover) << "\n";
     std::cout << "states: " << fsm.numStates() << ", estimated area "
               << area.area << "\n\n";
     std::cout << fsm.toDot("fsm2vhdl") << "\n";

@@ -333,19 +333,18 @@ namespace
 {
 
 /**
- * FNV-1a over the words of a subset key: the sorted NFA state indices
- * of fromNfa or the position-set words of fromCover. The high half is
- * folded down so every bit of a 64-bit word reaches the bucket index.
+ * FNV-1a over the position-set words of a fromCover state. The high
+ * half is folded down so every bit of a 64-bit word reaches the bucket
+ * index.
  */
 struct SubsetHash
 {
-    template <typename Word>
     size_t
-    operator()(const std::vector<Word> &words) const
+    operator()(const std::vector<uint64_t> &words) const
     {
         uint64_t h = 0xcbf29ce484222325ULL;
-        for (Word w : words) {
-            h ^= static_cast<uint64_t>(w);
+        for (uint64_t w : words) {
+            h ^= w;
             h *= 0x100000001b3ULL;
         }
         return static_cast<size_t>(h ^ (h >> 32));
@@ -366,72 +365,6 @@ checkSubsetBudget(const Dfa &dfa, int max_states)
 } // anonymous namespace
 
 Dfa
-Dfa::fromNfa(const Nfa &nfa, int max_states)
-{
-    Dfa dfa;
-    // DFA state numbering is fixed by the BFS discovery order below,
-    // not by map iteration, so hashing keeps output bit-identical.
-    std::unordered_map<std::vector<int>, int, SubsetHash> subset_ids;
-    std::deque<std::vector<int>> queue;
-
-    auto accepting = [&nfa](const std::vector<int> &subset) {
-        for (int s : subset) {
-            if (nfa.accepting(s))
-                return true;
-        }
-        return false;
-    };
-
-    const std::vector<int> start_subset = nfa.closure({nfa.start()});
-    subset_ids[start_subset] = dfa.addState(accepting(start_subset) ? 1 : 0);
-    queue.push_back(start_subset);
-    checkSubsetBudget(dfa, max_states);
-
-    // A sink for subsets that die (cannot happen with the (0|1)* prefix
-    // regexes, but hand-built NFAs may be partial).
-    int sink = -1;
-
-    while (!queue.empty()) {
-        const std::vector<int> subset = queue.front();
-        queue.pop_front();
-        const int from = subset_ids.at(subset);
-
-        for (int symbol = 0; symbol < 2; ++symbol) {
-            std::vector<int> moved;
-            for (int s : subset) {
-                const auto &succ = nfa.state(s).next[symbol];
-                moved.insert(moved.end(), succ.begin(), succ.end());
-            }
-            const std::vector<int> target = nfa.closure(std::move(moved));
-
-            int to;
-            if (target.empty()) {
-                if (sink < 0) {
-                    sink = dfa.addState(0);
-                    dfa.setEdge(sink, 0, sink);
-                    dfa.setEdge(sink, 1, sink);
-                }
-                to = sink;
-            } else {
-                const auto it = subset_ids.find(target);
-                if (it == subset_ids.end()) {
-                    to = dfa.addState(accepting(target) ? 1 : 0);
-                    checkSubsetBudget(dfa, max_states);
-                    subset_ids.emplace(target, to);
-                    queue.push_back(target);
-                } else {
-                    to = it->second;
-                }
-            }
-            dfa.setEdge(from, symbol, to);
-        }
-    }
-
-    dfa.setStart(0);
-    return dfa;
-}
-
-Dfa
 Dfa::fromCover(const Cover &cover, int max_states)
 {
     const int n = cover.numVars();
@@ -441,7 +374,7 @@ Dfa::fromCover(const Cover &cover, int max_states)
 
     // match[c][j * row_words + i / 64] has bit i % 64 set iff symbol j of
     // cube i accepts input c. Symbols run MSB first, as in
-    // regexFromCover: symbol j is history bit n - 1 - j.
+    // regexText: symbol j is history bit n - 1 - j.
     std::vector<uint64_t> match[2] = {std::vector<uint64_t>(rows, 0),
                                       std::vector<uint64_t>(rows, 0)};
     for (size_t i = 0; i < cover.size(); ++i) {

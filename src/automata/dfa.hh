@@ -4,10 +4,11 @@
  *
  * This is the Moore-machine form the paper's predictors take: the state's
  * output is the prediction of the next input bit. Provides subset
- * construction (Section 4.6), both over a Thompson NFA and directly from
- * a minimized cover, Hopcroft minimization, the paper's
- * start-state reduction (Section 4.7), reachability trimming, equivalence
- * checking and Graphviz output.
+ * construction (Section 4.6) straight from a minimized cover, Hopcroft
+ * minimization, the paper's start-state reduction (Section 4.7),
+ * reachability trimming, equivalence checking and Graphviz output. The
+ * paper's regex -> Thompson NFA -> subset path is kept only as the test
+ * oracle for fromCover (tests/reference_automata.hh).
  */
 
 #ifndef AUTOFSM_AUTOMATA_DFA_HH
@@ -18,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "automata/nfa.hh"
 #include "logicmin/cover.hh"
 
 namespace autofsm
@@ -93,30 +93,26 @@ class Dfa
     std::string toDot(const std::string &name = "fsm") const;
 
     /**
-     * Subset construction over @p nfa; accepting subsets output 1.
+     * Subset construction for the predictor language of @p cover,
+     * `(0|1)* (t_1 | ... | t_k)` (regexText), without building the
+     * regex or its Thompson NFA. The result is identical() to subset
+     * construction over that NFA, state for state (checked against the
+     * oracle in tests/reference_automata.hh).
+     *
+     * Every term spells N symbols, and the only NFA states a symbol
+     * edge enters are the (cube i, depth j) positions plus the star's.
+     * A subset is therefore a "started" flag and, per depth j = 1..N,
+     * the k-bit row of cubes whose first j symbols (MSB first) match
+     * the last j inputs. Input c maps row j to row j+1 through a
+     * per-depth match mask, row 1 is the mask alone, and a subset
+     * accepts iff row N is non-empty. States are minted in BFS
+     * discovery order.
      *
      * @param max_states Optional budget on the number of DFA states
      *        minted (0 = unlimited). Subset construction is worst-case
-     *        exponential in NFA size, so the bound is checked inside
-     *        the construction loop; exceeding it raises a
+     *        exponential in N, so the bound is checked inside the
+     *        construction loop; exceeding it raises a
      *        FlowError{"subset", BudgetExceeded} (flow/budget.hh).
-     */
-    static Dfa fromNfa(const Nfa &nfa, int max_states = 0);
-
-    /**
-     * Subset construction for the predictor language of @p cover,
-     * without building the regex or the NFA: the result is identical()
-     * to fromNfa(Nfa::fromRegex(regexFromCover(cover)), max_states).
-     *
-     * Every term of `(0|1)* (t_1 | ... | t_k)` spells N symbols, and the
-     * only NFA states a symbol edge enters are the (cube i, depth j)
-     * positions plus the star's. A subset is therefore a "started" flag
-     * and, per depth j = 1..N, the k-bit row of cubes whose first j
-     * symbols (MSB first) match the last j inputs. Input c maps row j to
-     * row j+1 through a per-depth match mask, row 1 is the mask alone,
-     * and a subset accepts iff row N is non-empty. States are minted in
-     * the same BFS order as fromNfa, so numbering agrees state for
-     * state, and @p max_states is enforced the same way.
      */
     static Dfa fromCover(const Cover &cover, int max_states = 0);
 

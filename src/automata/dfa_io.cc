@@ -30,6 +30,12 @@ dfaFromText(const std::string &text)
         throw std::invalid_argument("dfaFromText: no states");
     if (start < 0 || start >= num_states)
         throw std::invalid_argument("dfaFromText: start out of range");
+    // Every row is at least a separator and "o a b": refuse a count
+    // the text cannot hold before reserving room for it.
+    const size_t consumed =
+        in.eof() ? text.size() : static_cast<size_t>(in.tellg());
+    if ((text.size() - consumed) / 6 < static_cast<size_t>(num_states))
+        throw std::invalid_argument("dfaFromText: truncated body");
 
     Dfa fsm;
     struct Row
@@ -51,6 +57,8 @@ dfaFromText(const std::string &text)
         }
         rows.push_back(row);
     }
+    if (!(in >> std::ws).eof())
+        throw std::invalid_argument("dfaFromText: trailing data");
 
     for (const Row &row : rows)
         fsm.addState(row.output);

@@ -26,7 +26,9 @@ std::string dfaToText(const Dfa &fsm);
  * Parse a machine serialized by dfaToText.
  *
  * @throws std::invalid_argument on malformed input (bad header, counts,
- *         out-of-range transitions or outputs).
+ *         a state count the text is too short to hold, out-of-range
+ *         transitions or outputs, anything but whitespace after the
+ *         last row).
  */
 Dfa dfaFromText(const std::string &text);
 

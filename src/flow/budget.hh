@@ -120,8 +120,8 @@ struct FlowBudget
 
     /**
      * Enforce maxNfaStates before subset construction, given the
-     * @p thompson_states of the cover's Thompson NFA
-     * (thompsonStateCount(), automata/regex.hh).
+     * @p thompson_states of the cover's Thompson NFA in closed form:
+     * 2k(N+1) + 2 for k cubes over N history bits (thompsonStateCount).
      */
     void
     checkThompsonStates(int64_t thompson_states) const

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "automata/regex.hh"
 #include "flow/design_memo.hh"
 #include "fsmgen/profile.hh"
 #include "obs/metrics.hh"
@@ -390,7 +391,7 @@ DesignFlow::runStages(const MarkovModel &model, FlowTrace trace,
             deadline.check("regex");
             obs::SpanScope span(tracer, "flow.regex");
             AUTOFSM_FAILPOINT("flow.regex");
-            result.regexText = regexFromCover(result.cover).toString();
+            result.regexText = regexText(result.cover);
             recordStage(out.trace, FlowStage::Regex, span,
                         static_cast<int64_t>(result.cover.size()),
                         "terms");

@@ -2,11 +2,14 @@
  * @file
  * The end-to-end automated FSM predictor design flow (Section 4).
  *
- * trace -> Markov model -> pattern sets -> minimized cover -> regular
- * expression -> DFA (subset construction, straight from the cover) ->
- * Hopcroft minimization -> start-state reduction. The result carries the artifacts of every stage so examples,
- * benches and tests can inspect intermediate products (e.g. Figure 1
- * shows the machine both before and after start-state reduction).
+ * trace -> Markov model -> pattern sets -> minimized cover -> DFA
+ * (subset construction straight from the cover) -> Hopcroft
+ * minimization -> start-state reduction. The paper's regular
+ * expression `(0|1)*(t_1|...|t_k)` is rendered from the cover as text
+ * only; no regex AST or NFA is built. The result carries the artifacts
+ * of every stage so examples, benches and tests can inspect
+ * intermediate products (e.g. Figure 1 shows the machine both before
+ * and after start-state reduction).
  *
  * This header holds the flow's knobs and artifacts only. The pipeline
  * itself runs through `DesignFlow` (flow/design_flow.hh), which also
@@ -21,7 +24,6 @@
 #include <string>
 
 #include "automata/dfa.hh"
-#include "automata/regex.hh"
 #include "flow/budget.hh"
 #include "fsmgen/markov.hh"
 #include "fsmgen/patterns.hh"

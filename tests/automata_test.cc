@@ -1,17 +1,22 @@
 /**
  * @file
- * Tests for the automata substrate: regex building, Thompson NFA, subset
- * construction (over the NFA and directly from a cover), Hopcroft
- * minimization and start-state reduction.
+ * Tests for the automata substrate: the regex text and Thompson count
+ * rendered from a cover, subset construction straight from a cover,
+ * Hopcroft minimization and start-state reduction. The paper's
+ * regex -> Thompson NFA -> subset path is the oracle
+ * (reference_automata.hh), itself checked against suffix semantics.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "automata/dfa.hh"
 #include "automata/dfa_io.hh"
-#include "automata/nfa.hh"
 #include "automata/regex.hh"
 #include "flow/budget.hh"
+#include "reference_automata.hh"
 #include "support/rng.hh"
 
 namespace autofsm
@@ -54,19 +59,22 @@ paperCover()
 
 TEST(RegexTest, PaperNotationRendering)
 {
-    const Regex regex = regexFromCover(paperCover());
-    EXPECT_EQ(regex.toString(), "{0|1}*{ {0|1}1 | 1{0|1} }");
+    EXPECT_EQ(regexText(paperCover()), "{0|1}*{ {0|1}1 | 1{0|1} }");
+    EXPECT_EQ(reference::regexFromCover(paperCover()).toString(),
+              "{0|1}*{ {0|1}1 | 1{0|1} }");
 }
 
 TEST(RegexTest, EmptyCoverGivesEmptyRegex)
 {
-    EXPECT_TRUE(regexFromCover(Cover(2)).empty());
-    EXPECT_EQ(Regex().toString(), "(empty)");
+    EXPECT_EQ(regexText(Cover(2)), "(empty)");
+    EXPECT_TRUE(reference::regexFromCover(Cover(2)).empty());
+    EXPECT_EQ(reference::Regex().toString(), "(empty)");
 }
 
 TEST(NfaTest, AcceptsExactlySuffixLanguage)
 {
-    const Nfa nfa = Nfa::fromRegex(regexFromCover(paperCover()));
+    const auto nfa = reference::Nfa::fromRegex(
+        reference::regexFromCover(paperCover()));
     // Language: all strings whose last two bits are 01, 10 or 11.
     for (int len = 2; len <= 6; ++len) {
         for (const auto &s : allStrings(len)) {
@@ -78,7 +86,8 @@ TEST(NfaTest, AcceptsExactlySuffixLanguage)
 
 TEST(NfaTest, ShortStringsRejected)
 {
-    const Nfa nfa = Nfa::fromRegex(regexFromCover(paperCover()));
+    const auto nfa = reference::Nfa::fromRegex(
+        reference::regexFromCover(paperCover()));
     EXPECT_FALSE(nfa.accepts({}));
     EXPECT_FALSE(nfa.accepts({1}));
     EXPECT_FALSE(nfa.accepts({0}));
@@ -86,8 +95,9 @@ TEST(NfaTest, ShortStringsRejected)
 
 TEST(DfaTest, SubsetConstructionMatchesNfa)
 {
-    const Nfa nfa = Nfa::fromRegex(regexFromCover(paperCover()));
-    const Dfa dfa = Dfa::fromNfa(nfa);
+    const auto nfa = reference::Nfa::fromRegex(
+        reference::regexFromCover(paperCover()));
+    const Dfa dfa = reference::subsetConstruction(nfa);
     for (int len = 0; len <= 7; ++len) {
         for (const auto &s : allStrings(len))
             EXPECT_EQ(dfa.predictAfter(s) == 1, nfa.accepts(s));
@@ -96,8 +106,7 @@ TEST(DfaTest, SubsetConstructionMatchesNfa)
 
 TEST(DfaTest, HopcroftPreservesBehavior)
 {
-    const Dfa dfa =
-        Dfa::fromNfa(Nfa::fromRegex(regexFromCover(paperCover())));
+    const Dfa dfa = Dfa::fromCover(paperCover());
     const Dfa minimized = dfa.minimizeHopcroft();
     EXPECT_TRUE(dfa.equivalent(minimized));
     EXPECT_LE(minimized.numStates(), dfa.numStates());
@@ -106,27 +115,22 @@ TEST(DfaTest, HopcroftPreservesBehavior)
 TEST(DfaTest, HopcroftReachesPaperStateCount)
 {
     // Figure 1 (left): the machine with start-up states has 5 states.
-    const Dfa minimized =
-        Dfa::fromNfa(Nfa::fromRegex(regexFromCover(paperCover())))
-            .minimizeHopcroft();
+    const Dfa minimized = Dfa::fromCover(paperCover()).minimizeHopcroft();
     EXPECT_EQ(minimized.numStates(), 5);
 }
 
 TEST(DfaTest, SteadyStateReductionReachesPaperStateCount)
 {
     // Figure 1 (right): removing start-up states leaves 3 states.
-    const Dfa reduced =
-        Dfa::fromNfa(Nfa::fromRegex(regexFromCover(paperCover())))
-            .minimizeHopcroft()
-            .steadyStateReduce();
+    const Dfa reduced = Dfa::fromCover(paperCover())
+                            .minimizeHopcroft()
+                            .steadyStateReduce();
     EXPECT_EQ(reduced.numStates(), 3);
 }
 
 TEST(DfaTest, SteadyStateMachineAgreesOnWarmStrings)
 {
-    const Dfa full =
-        Dfa::fromNfa(Nfa::fromRegex(regexFromCover(paperCover())))
-            .minimizeHopcroft();
+    const Dfa full = Dfa::fromCover(paperCover()).minimizeHopcroft();
     const Dfa reduced = full.steadyStateReduce();
     // Behavior must be identical for every string of length >= N = 2.
     for (int len = 2; len <= 8; ++len) {
@@ -195,13 +199,6 @@ TEST(DfaTest, DotOutputMentionsStatesAndEdges)
     EXPECT_NE(dot.find("init -> s0"), std::string::npos);
 }
 
-/** The regex -> Thompson -> subset path that Dfa::fromCover replaces. */
-Dfa
-subsetOracle(const Cover &cover, int max_states = 0)
-{
-    return Dfa::fromNfa(Nfa::fromRegex(regexFromCover(cover)), max_states);
-}
-
 /** What() of the FlowError @p build throws, or "" if it throws none. */
 template <typename Build>
 std::string
@@ -227,23 +224,25 @@ expectDirectMatchesSubset(const Cover &cover)
 {
     SCOPED_TRACE("N=" + std::to_string(cover.numVars()) +
                  " k=" + std::to_string(cover.size()));
-    const Dfa oracle = subsetOracle(cover);
+    const Dfa oracle = reference::subsetOracle(cover);
     const Dfa direct = Dfa::fromCover(cover);
     ASSERT_TRUE(direct.identical(oracle))
         << direct.numStates() << " vs " << oracle.numStates() << " states";
     EXPECT_EQ(dfaToText(direct.minimizeHopcroft().steadyStateReduce()),
               dfaToText(oracle.minimizeHopcroft().steadyStateReduce()));
     EXPECT_EQ(thompsonStateCount(cover),
-              Nfa::fromRegex(regexFromCover(cover)).numStates());
+              reference::Nfa::fromRegex(reference::regexFromCover(cover))
+                  .numStates());
 
     const int count = oracle.numStates();
     const std::string direct_error = subsetBudgetError(
         [&] { Dfa::fromCover(cover, count - 1); });
     EXPECT_FALSE(direct_error.empty());
-    EXPECT_EQ(direct_error,
-              subsetBudgetError([&] { subsetOracle(cover, count - 1); }));
+    EXPECT_EQ(direct_error, subsetBudgetError([&] {
+                  reference::subsetOracle(cover, count - 1);
+              }));
     EXPECT_TRUE(Dfa::fromCover(cover, count).identical(oracle));
-    EXPECT_TRUE(subsetOracle(cover, count).identical(oracle));
+    EXPECT_TRUE(reference::subsetOracle(cover, count).identical(oracle));
 }
 
 /** A random cube over @p n variables, each one specified with @p p. */
@@ -306,6 +305,55 @@ TEST(DfaTest, DirectCoverConstructionMatchesSubset)
     expectDirectMatchesSubset(overlap);
 }
 
+/** regexText against the oracle AST's rendering of @p cover. */
+void
+expectTextMatchesOracle(const Cover &cover)
+{
+    SCOPED_TRACE("N=" + std::to_string(cover.numVars()) +
+                 " k=" + std::to_string(cover.size()));
+    EXPECT_EQ(regexText(cover), reference::regexFromCover(cover).toString());
+}
+
+TEST(RegexTest, TextMatchesOracleRendering)
+{
+    expectTextMatchesOracle(paperCover());
+    expectTextMatchesOracle(Cover(2));
+
+    // One cube: no alternation, so no braces around the term.
+    for (const char *pattern : {"1", "0", "x", "1x0", "xxxx", "0110"}) {
+        Cover one(static_cast<int>(std::string(pattern).size()));
+        one.add(Cube::fromPattern(pattern));
+        expectTextMatchesOracle(one);
+    }
+    Cover single(1);
+    single.add(Cube::fromPattern("1"));
+    EXPECT_EQ(regexText(single), "{0|1}*1");
+
+    // One variable: every symbol kind, alternations nested to the left.
+    Cover one_var(1);
+    for (const char *pattern : {"1", "0", "x", "1"}) {
+        one_var.add(Cube::fromPattern(pattern));
+        expectTextMatchesOracle(one_var);
+    }
+    EXPECT_EQ(regexText(one_var), "{0|1}*{ { { 1 | 0 } | {0|1} } | 1 }");
+
+    // Random covers up to N = 24, with cube counts on both sides of
+    // 64-cube boundaries.
+    Rng rng(0x7e47);
+    std::vector<int> lengths;
+    for (int n = 2; n <= 16; ++n)
+        lengths.push_back(n);
+    lengths.push_back(24);
+    for (const int n : lengths) {
+        for (const int k : {1, 2, 63, 64, 65, 129}) {
+            Cover cover(n);
+            for (int i = 0; i < k; ++i)
+                cover.add(randomCube(rng, n, 0.5));
+            expectTextMatchesOracle(cover);
+        }
+    }
+}
+
 /**
  * Property: for a random cover over n variables, the fully processed
  * machine (subset construction + Hopcroft + steady-state reduction)
@@ -333,9 +381,8 @@ TEST_P(PipelinePropertyTest, FinalMachineMatchesCoverOnSuffixes)
     if (on_count == 0)
         cover.add(Cube::minterm(0, n));
 
-    const Dfa fsm = Dfa::fromNfa(Nfa::fromRegex(regexFromCover(cover)))
-                        .minimizeHopcroft()
-                        .steadyStateReduce();
+    const Dfa fsm =
+        Dfa::fromCover(cover).minimizeHopcroft().steadyStateReduce();
 
     for (int len = n; len <= n + 4; ++len) {
         for (const auto &s : allStrings(len)) {

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "automata/dfa.hh"
 #include "automata/dfa_io.hh"
-#include "automata/nfa.hh"
-#include "automata/regex.hh"
+#include "reference_automata.hh"
 #include "support/rng.hh"
 
 namespace autofsm
@@ -76,6 +78,40 @@ TEST(DfaIoTest, RejectsMalformedInput)
     EXPECT_THROW(dfaFromText("fsm 1 0\n0 0 9\n"), std::invalid_argument);
 }
 
+/** What() of the invalid_argument dfaFromText throws on @p text. */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        dfaFromText(text);
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(DfaIoTest, RejectsStateCountTheTextCannotHold)
+{
+    // Refused as truncated before any room is reserved for the rows.
+    EXPECT_EQ(parseError("fsm 2147483647 0\n"),
+              "dfaFromText: truncated body");
+    EXPECT_EQ(parseError("fsm 3 0\n0 0 0\n0 0 0\n"),
+              "dfaFromText: truncated body");
+    EXPECT_EQ(parseError("fsm 1 0"), "dfaFromText: truncated body");
+    // The tightest body still parses, trailing newline or not.
+    EXPECT_EQ(dfaFromText("fsm 2 1\n1 0 1\n0 1 0").numStates(), 2);
+    EXPECT_EQ(dfaFromText("fsm 2 1 1 0 1 0 1 0").start(), 1);
+}
+
+TEST(DfaIoTest, RejectsTrailingData)
+{
+    EXPECT_EQ(parseError("fsm 1 0\n0 0 0 junk"),
+              "dfaFromText: trailing data");
+    EXPECT_EQ(parseError("fsm 1 0\n0 0 0\n1 0 0\n"),
+              "dfaFromText: trailing data");
+    EXPECT_EQ(dfaFromText("fsm 1 0\n1 0 0\n \n\t").output(0), 1);
+}
+
 TEST(DfaIoTest, TextFormatIsStable)
 {
     const Dfa one = Dfa::constant(1);
@@ -116,10 +152,8 @@ TEST(AutomataInvariantTest, MinimalMachineIsUnique)
     b.add(Cube::fromPattern("1x"));
     b.add(Cube::fromPattern("11"));
 
-    const Dfa ma = Dfa::fromNfa(Nfa::fromRegex(regexFromCover(a)))
-                       .minimizeHopcroft();
-    const Dfa mb = Dfa::fromNfa(Nfa::fromRegex(regexFromCover(b)))
-                       .minimizeHopcroft();
+    const Dfa ma = reference::subsetOracle(a).minimizeHopcroft();
+    const Dfa mb = reference::subsetOracle(b).minimizeHopcroft();
     EXPECT_EQ(ma.numStates(), mb.numStates());
     EXPECT_TRUE(ma.equivalent(mb));
 }

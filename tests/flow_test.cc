@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "automata/regex.hh"
 #include "flow/batch.hh"
 #include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
