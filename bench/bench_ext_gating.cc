@@ -16,6 +16,7 @@
 
 #include <iomanip>
 #include <iostream>
+#include <iterator>
 
 #include "bpred/branch_confidence.hh"
 #include "bpred/btb.hh"
@@ -32,14 +33,14 @@ namespace
 
 void
 printRow(const std::string &bench, const std::string &scheme,
-         const ConfidenceMetrics &m)
+         const ConfidenceResult &r)
 {
     std::cout << std::setw(10) << bench << std::setw(18) << scheme
               << std::fixed << std::setprecision(1) << std::setw(9)
-              << m.pvp() * 100.0 << "%" << std::setw(9)
-              << m.pvn() * 100.0 << "%" << std::setw(9)
-              << m.sensitivity() * 100.0 << "%" << std::setw(9)
-              << m.specificity() * 100.0 << "%\n";
+              << r.accuracy() * 100.0 << "%" << std::setw(9)
+              << r.pvn() * 100.0 << "%" << std::setw(9)
+              << r.coverage() * 100.0 << "%" << std::setw(9)
+              << r.specificity() * 100.0 << "%\n";
 }
 
 } // anonymous namespace
@@ -59,26 +60,22 @@ main(int argc, char **argv)
               << std::setw(10) << "SENS" << std::setw(10) << "SPEC"
               << "\n";
 
-    for (const std::string &name : branchBenchmarkNames()) {
-        const auto test_trace =
-            cachedBranchTrace(name, WorkloadInput::Test, branches);
-        const PackedTrace &test = *test_trace;
+    // Standard counter-based estimators.
+    const std::vector<SudConfig> counters = {SudConfig::resetting(8, 7),
+                                             SudConfig{15, 1, 2, 12}};
+    const char *const counter_names[] = {"resetting(8,7)", "sud(15,2,12)"};
+    const double thresholds[] = {0.7, 0.9};
 
-        // Standard counter-based estimators.
-        {
-            XScaleBtb predictor;
-            SudBranchConfidence estimator(log2_entries,
-                                          SudConfig::resetting(8, 7));
-            printRow(name, "resetting(8,7)",
-                     measureBranchConfidence(predictor, estimator, test));
-        }
-        {
-            XScaleBtb predictor;
-            SudBranchConfidence estimator(log2_entries,
-                                          SudConfig{15, 1, 2, 12});
-            printRow(name, "sud(15,2,12)",
-                     measureBranchConfidence(predictor, estimator, test));
-        }
+    for (const std::string &name : branchBenchmarkNames()) {
+        XScaleBtb predictor;
+        const CorrectnessStream test = buildCorrectnessStream(
+            *cachedBranchTrace(name, WorkloadInput::Test, branches),
+            predictor, log2_entries);
+
+        const std::vector<ConfidenceResult> sud =
+            replaySudConfidence(test, counters);
+        for (size_t i = 0; i < sud.size(); ++i)
+            printRow(name, counter_names[i], sud[i]);
 
         // Cross-trained FSM estimator: model the XScale's correctness
         // stream on every OTHER benchmark (general-purpose setting).
@@ -86,25 +83,30 @@ main(int argc, char **argv)
         for (const std::string &other : branchBenchmarkNames()) {
             if (other == name)
                 continue;
-            const auto other_train_trace =
-                cachedBranchTrace(other, WorkloadInput::Train, branches);
-            const PackedTrace &other_train = *other_train_trace;
-            XScaleBtb predictor;
-            collectBranchConfidenceModel(predictor, other_train,
-                                         log2_entries, model);
+            XScaleBtb trainer;
+            collectConfidenceModels(
+                buildCorrectnessStream(
+                    *cachedBranchTrace(other, WorkloadInput::Train,
+                                       branches),
+                    trainer, log2_entries),
+                {&model});
         }
-        for (double threshold : {0.7, 0.9}) {
+        std::vector<FsmDesignResult> designs;
+        designs.reserve(std::size(thresholds));
+        std::vector<FsmEstimator> estimators;
+        for (double threshold : thresholds) {
             FsmDesignOptions design;
             design.order = 8;
             design.patterns.threshold = threshold;
-            const FsmDesignResult designed =
-                DesignFlow(design).run(model).design;
-            XScaleBtb predictor;
-            FsmBranchConfidence estimator(log2_entries, designed.fsm);
-            printRow(name,
-                     "fsm thr=" + std::to_string(threshold).substr(0, 4),
-                     measureBranchConfidence(predictor, estimator, test));
+            designs.push_back(DesignFlow(design).run(model).design);
+            estimators.push_back(
+                {&designs.back().fsm,
+                 "fsm thr=" + std::to_string(threshold).substr(0, 4)});
         }
+        const std::vector<ConfidenceResult> fsm =
+            replayFsmConfidence(test, estimators);
+        for (size_t i = 0; i < fsm.size(); ++i)
+            printRow(name, estimators[i].label, fsm[i]);
         std::cout << "\n";
     }
     bench::exportMetricsIfRequested(args);

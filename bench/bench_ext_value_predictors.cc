@@ -64,9 +64,11 @@ main(int argc, char **argv)
             for (const std::string &other : valueBenchmarkNames()) {
                 if (other == name)
                     continue;
-                const ValueTrace trace = makeValueTrace(other, loads);
                 auto trainer = make();
-                collectConfidenceModels(trace, *trainer, {&model});
+                collectConfidenceModels(
+                    buildCorrectnessStream(makeValueTrace(other, loads),
+                                           *trainer),
+                    {&model});
             }
 
             FsmDesignOptions design;
@@ -76,15 +78,17 @@ main(int argc, char **argv)
                 DesignFlow(design).run(model).design;
 
             auto predictor = make();
-            FsmConfidence estimator(predictor->entries(), designed.fsm);
-            const ConfidenceResult r =
-                simulateConfidence(own, *predictor, estimator);
+            const ConfidenceResult r = replayFsmConfidence(
+                buildCorrectnessStream(own, *predictor),
+                {{&designed.fsm}})[0];
+            const double hit_rate_pct = r.loads == 0
+                ? 0.0
+                : 100.0 * static_cast<double>(r.correct) /
+                    static_cast<double>(r.loads);
 
             std::cout << std::setw(8) << name << std::setw(12)
                       << kind_name << std::fixed << std::setprecision(1)
-                      << std::setw(11)
-                      << 100.0 * static_cast<double>(r.correct) /
-                          static_cast<double>(r.loads)
+                      << std::setw(11) << hit_rate_pct
                       << "%" << std::setw(11) << r.accuracy() * 100.0
                       << "%" << std::setw(11) << r.coverage() * 100.0
                       << "%" << std::setw(10) << designed.statesFinal

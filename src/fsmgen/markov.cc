@@ -1,6 +1,8 @@
 #include "fsmgen/markov.hh"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace autofsm
 {
@@ -8,7 +10,11 @@ namespace autofsm
 MarkovModel::MarkovModel(int order)
     : order_(order)
 {
-    assert(order >= 1 && order <= 24);
+    if (order < 1 || order > 24) {
+        throw std::invalid_argument("MarkovModel: order " +
+                                    std::to_string(order) +
+                                    " outside [1, 24]");
+    }
 }
 
 void

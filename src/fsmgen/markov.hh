@@ -33,7 +33,10 @@ struct HistoryCounts
 class MarkovModel
 {
   public:
-    /** @param order History length N, in [1, 24]. */
+    /**
+     * @param order History length N, in [1, 24].
+     * @throws std::invalid_argument for an order outside that range.
+     */
     explicit MarkovModel(int order);
 
     int order() const { return order_; }

@@ -115,11 +115,14 @@ MultiOrderProfile::takeModel(int order)
 }
 
 MultiOrderCounter::MultiOrderCounter(int max_order)
-    : maxOrder_(max_order),
-      mask_(lowMask(max_order)),
-      flat_(max_order <= kMaxFlatOrder)
+    : maxOrder_(max_order), mask_(0), flat_(max_order <= kMaxFlatOrder)
 {
-    assert(max_order >= 1 && max_order <= 24);
+    if (max_order < 1 || max_order > 24) {
+        throw std::invalid_argument("MultiOrderCounter: order " +
+                                    std::to_string(max_order) +
+                                    " outside [1, 24]");
+    }
+    mask_ = lowMask(max_order);
     if (flat_)
         dense_.assign(size_t{1} << max_order, HistoryCounts{});
 }

@@ -98,7 +98,10 @@ class MultiOrderProfile
 class MultiOrderCounter
 {
   public:
-    /** @param max_order The top of the order ladder, in [1, 24]. */
+    /**
+     * @param max_order The top of the order ladder, in [1, 24].
+     * @throws std::invalid_argument for an order outside that range.
+     */
     explicit MultiOrderCounter(int max_order);
 
     int maxOrder() const { return maxOrder_; }

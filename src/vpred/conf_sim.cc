@@ -279,14 +279,6 @@ simulateConfidence(const ValueTrace &trace, const StrideConfig &config,
 }
 
 void
-collectConfidenceModels(const ValueTrace &trace, ValuePredictor &predictor,
-                        std::vector<MarkovModel *> models)
-{
-    collectConfidenceModels(buildCorrectnessStream(trace, predictor),
-                            std::move(models));
-}
-
-void
 collectConfidenceModels(const ValueTrace &trace, const StrideConfig &config,
                         std::vector<MarkovModel *> models)
 {

@@ -1,22 +1,21 @@
 /**
  * @file
- * Confidence-estimation simulation and training (Section 6.3-6.4).
+ * The confidence engine (Sections 2.5 and 6.3-6.4).
  *
- * Two passes share the same mechanics: the *measurement* pass drives a
- * value trace through the stride predictor and a confidence estimator
- * and reports accuracy/coverage; the *training* pass instead feeds each
- * table entry's correctness history into Markov models of the requested
- * orders (this is how the cross-trained FSM estimators of Figure 2 are
- * built).
+ * A confidence estimator only sees a per-entry binary correctness
+ * stream: for every prediction, which table entry's estimator is
+ * consulted and whether the prediction was right. The underlying
+ * predictor never sees the estimator, so its verdicts do not depend on
+ * which estimator is measured. `buildCorrectnessStream` therefore runs
+ * the predictor once and records that stream - here for a value
+ * predictor, in bpred/branch_confidence.hh for a branch predictor - and
+ * the replays drive any number of SUD configurations or FSM estimators
+ * over it; the training pass feeds each entry's correctness history into
+ * Markov models of the requested orders (this is how the cross-trained
+ * FSM estimators of Figure 2 and of branch pipeline gating are built).
  *
- * The predictor never sees the estimator, so its verdicts do not depend
- * on which estimator is measured. The confidence engine exploits that:
- * `buildCorrectnessStream` runs the predictor once and records, per
- * load, the table entry and whether the prediction was correct; the
- * replays then drive any number of SUD configurations or FSM
- * estimators (and the training pass) over that stream. The virtual
- * per-estimator `simulateConfidence` loop stays as the reference the
- * engine is tested against.
+ * The virtual per-estimator `simulateConfidence` loop stays as the
+ * reference the engine is tested against.
  */
 
 #ifndef AUTOFSM_VPRED_CONF_SIM_HH
@@ -35,15 +34,21 @@
 namespace autofsm
 {
 
-/** Accuracy/coverage measurement of one confidence configuration. */
+/**
+ * Measurement of one confidence configuration over a stream of loads
+ * (or branches). In Grunwald et al.'s terms, "positive" is high
+ * confidence and the event detected is a correct prediction:
+ * accuracy() is the PVP and coverage() the sensitivity. Every ratio is
+ * 0 when its denominator is empty.
+ */
 struct ConfidenceResult
 {
-    uint64_t loads = 0;
-    uint64_t correct = 0;            ///< correct value predictions
-    uint64_t confident = 0;          ///< loads marked confident
+    uint64_t loads = 0;              ///< predictions (loads or branches)
+    uint64_t correct = 0;            ///< correct predictions
+    uint64_t confident = 0;          ///< predictions marked confident
     uint64_t confidentCorrect = 0;   ///< confident and correct
 
-    /** P(correct | marked confident); 0 when nothing was confident. */
+    /** PVP: P(correct | marked confident). */
     double
     accuracy() const
     {
@@ -53,7 +58,7 @@ struct ConfidenceResult
                 static_cast<double>(confident);
     }
 
-    /** Fraction of correct predictions that were marked confident. */
+    /** Sensitivity: P(marked confident | correct). */
     double
     coverage() const
     {
@@ -61,6 +66,33 @@ struct ConfidenceResult
             ? 0.0
             : static_cast<double>(confidentCorrect) /
                 static_cast<double>(correct);
+    }
+
+    /** PVN: P(incorrect | not marked confident). */
+    double
+    pvn() const
+    {
+        const uint64_t low = loads - confident;
+        return low == 0 ? 0.0
+                        : static_cast<double>(lowAndWrong()) /
+                static_cast<double>(low);
+    }
+
+    /** Specificity: P(not marked confident | incorrect). */
+    double
+    specificity() const
+    {
+        const uint64_t wrong = loads - correct;
+        return wrong == 0 ? 0.0
+                          : static_cast<double>(lowAndWrong()) /
+                static_cast<double>(wrong);
+    }
+
+  private:
+    uint64_t
+    lowAndWrong() const
+    {
+        return (loads - correct) - (confident - confidentCorrect);
     }
 };
 
@@ -83,28 +115,21 @@ ConfidenceResult simulateConfidence(const ValueTrace &trace,
                                     ConfidenceEstimator &estimator);
 
 /**
- * Training pass: feed each entry's correctness stream into every model
- * in @p models (each may have a different order). Entries keep
- * independent history registers, exactly mirroring how the per-entry
- * FSM estimators see the world at runtime.
+ * Training pass over a fresh two-delta stride predictor: the stream
+ * form below over buildCorrectnessStream(trace, config).
  */
-void collectConfidenceModels(const ValueTrace &trace,
-                             ValuePredictor &predictor,
-                             std::vector<MarkovModel *> models);
-
-/** Convenience overload: fresh two-delta stride predictor. */
 void collectConfidenceModels(const ValueTrace &trace,
                              const StrideConfig &config,
                              std::vector<MarkovModel *> models);
 
 /**
- * One value-predictor pass recorded for replay, structure of arrays:
- * per load, the table entry whose estimator is consulted and whether
- * the value prediction was correct.
+ * One predictor pass recorded for replay, structure of arrays: per load
+ * (or branch), the table entry whose estimator is consulted and whether
+ * the prediction was correct.
  */
 struct CorrectnessStream
 {
-    /** Estimator bank size: the predictor's entries(). */
+    /** Estimator bank size (a value predictor's entries()). */
     size_t entries = 0;
     /** Total correct predictions over the stream. */
     uint64_t correct = 0;
@@ -164,7 +189,12 @@ std::vector<ConfidenceResult>
 replayFsmConfidence(const CorrectnessStream &stream,
                     const std::vector<FsmEstimator> &estimators);
 
-/** Training pass over a recorded stream (same models as the trace form). */
+/**
+ * Training pass: feed each entry's correctness stream into every model
+ * in @p models (each may have a different order). Entries keep
+ * independent history registers, exactly mirroring how the per-entry
+ * FSM estimators see the world at runtime.
+ */
 void collectConfidenceModels(const CorrectnessStream &stream,
                              std::vector<MarkovModel *> models);
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
 #include "fsmgen/markov.hh"
@@ -67,6 +69,18 @@ TEST(MarkovTest, WarmupSkipsFirstNBits)
     model.train({1, 1, 1, 0}); // one observation: 111 -> 0
     EXPECT_EQ(model.counts(fromBinary("111")).total, 1u);
     EXPECT_EQ(model.counts(fromBinary("111")).ones, 0u);
+}
+
+TEST(MarkovTest, OrderOutsideRangeThrows)
+{
+    // Checked in every build type, not only asserted: a Release build
+    // would otherwise size tables and masks from the bad order.
+    EXPECT_THROW(MarkovModel(0), std::invalid_argument);
+    EXPECT_THROW(MarkovModel(-1), std::invalid_argument);
+    EXPECT_THROW(MarkovModel(25), std::invalid_argument);
+    EXPECT_THROW(MarkovModel(30), std::invalid_argument);
+    EXPECT_EQ(MarkovModel(1).order(), 1);
+    EXPECT_EQ(MarkovModel(24).order(), 24);
 }
 
 TEST(MarkovTest, MergeAggregatesSuites)

@@ -234,6 +234,13 @@ TEST(ProfileTest, StatsAndOrderValidation)
     EXPECT_THROW(bad.finish({}), std::invalid_argument);
     EXPECT_THROW(bad.finish({5}), std::invalid_argument);
     EXPECT_THROW(bad.finish({0}), std::invalid_argument);
+
+    // The ladder's top is checked in every build type, before any table
+    // is sized from it.
+    EXPECT_THROW(MultiOrderCounter(0), std::invalid_argument);
+    EXPECT_THROW(MultiOrderCounter(25), std::invalid_argument);
+    EXPECT_THROW(MultiOrderCounter(30), std::invalid_argument);
+    EXPECT_EQ(MultiOrderCounter(24).maxOrder(), 24);
 }
 
 TEST(ProfileTest, PublishesProfileGauges)

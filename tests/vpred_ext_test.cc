@@ -170,7 +170,7 @@ TEST(GeneralizedConfSimTest, ModelsCollectOverFcm)
     const ValueTrace trace = makeValueTrace("li", 20000);
     FcmPredictor fcm;
     MarkovModel model(4);
-    collectConfidenceModels(trace, fcm, {&model});
+    collectConfidenceModels(buildCorrectnessStream(trace, fcm), {&model});
     EXPECT_GT(model.totalObservations(), 0u);
 }
 
