@@ -1,7 +1,6 @@
 #include "vpred/conf_sim.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <limits>
 #include <stdexcept>
@@ -49,12 +48,17 @@ publishConfidenceRun(const std::string &estimator,
         .inc(result.confidentCorrect);
 }
 
-/** Confidence-engine stage timings, all cells registered together. */
+/**
+ * Confidence-engine stage timings and FSM replay paths, all cells
+ * registered together.
+ */
 struct EngineTelemetry
 {
     obs::Histogram streamMillis;
     obs::Histogram replayMillis;
     obs::Histogram collectMillis;
+    obs::Counter tableReplays;
+    obs::Counter stepReplays;
 };
 
 EngineTelemetry &
@@ -74,6 +78,14 @@ engineTelemetry()
         t.streamMillis = stage("stream");
         t.replayMillis = stage("replay");
         t.collectMillis = stage("collect");
+        const auto path = [&](const char *name) {
+            return registry.counter(
+                "autofsm_vpred_fsm_replays_total",
+                "FSM estimators replayed, by engine path.",
+                {{"path", name}});
+        };
+        t.tableReplays = path("table");
+        t.stepReplays = path("step");
         return t;
     }();
     return telemetry;
@@ -246,6 +258,162 @@ compileFsm(const FsmEstimator &estimator)
     return fsm;
 }
 
+/** Deepest history the suffix table replays: 2^17 histogram cells. */
+constexpr int kMaxTableIndex = 16;
+
+/**
+ * The index d of @p fsm if the machine is d-definite - after any d
+ * inputs its state depends only on those inputs - and the suffix table
+ * pays for it on a stream of @p length loads: d <= kMaxTableIndex,
+ * 2^(d+1) <= length, and at most length state steps spent finding d.
+ * -1 otherwise. Walks the image of the whole state set down every input
+ * word, depth first, until each branch reaches a single state; d is the
+ * deepest such branch.
+ */
+int
+definiteIndex(const CompactFsm &fsm, size_t length)
+{
+    const size_t n = fsm.output.size();
+    if (length < 2)
+        return -1;
+    if (n == 1)
+        return 0;
+    int limit = 0; // deepest index with 2^(limit+1) <= length
+    while (limit < kMaxTableIndex && (size_t{4} << limit) <= length)
+        ++limit;
+    if (limit == 0)
+        return -1;
+
+    // images[k]: image of every state under the current word's first k
+    // inputs; nextBit[k]: the input to try next below it.
+    std::vector<std::vector<uint16_t>> images(static_cast<size_t>(limit) +
+                                              1);
+    std::vector<int> nextBit(images.size(), 0);
+    images[0].resize(n);
+    for (size_t s = 0; s < n; ++s)
+        images[0][s] = static_cast<uint16_t>(s);
+    std::vector<uint32_t> seen(n, 0);
+    uint32_t stamp = 0;
+    size_t steps = 0;
+    int index = 0;
+    int depth = 0;
+    while (depth >= 0) {
+        const size_t k = static_cast<size_t>(depth);
+        if (nextBit[k] == 2) {
+            --depth;
+            continue;
+        }
+        const unsigned bit = static_cast<unsigned>(nextBit[k]++);
+        std::vector<uint16_t> &child = images[k + 1];
+        child.clear();
+        ++stamp;
+        for (const uint16_t s : images[k]) {
+            const uint16_t t = fsm.next[2 * size_t{s} + bit];
+            if (seen[t] != stamp) {
+                seen[t] = stamp;
+                child.push_back(t);
+            }
+        }
+        steps += images[k].size();
+        if (steps > length)
+            return -1;
+        if (child.size() == 1) {
+            index = std::max(index, depth + 1);
+            continue;
+        }
+        // A wider image one input deeper means d > depth + 1.
+        if (depth + 1 >= limit)
+            return -1;
+        ++depth;
+        nextBit[k + 1] = 0;
+    }
+    return index;
+}
+
+/**
+ * Loads per history over a stream: cell h counts the loads whose entry
+ * had history h before the load, and how many of them were correct. A
+ * history is the entry's outcomes so far, newest in bit 0, under a 1
+ * sentinel bit; once it holds `depth` outcomes it keeps only the last
+ * `depth`.
+ */
+struct SuffixCounts
+{
+    int depth = 0;
+    std::vector<uint64_t> loads;
+    std::vector<uint64_t> correct;
+};
+
+SuffixCounts
+countSuffixes(const CorrectnessStream &stream, int depth)
+{
+    const uint32_t top = uint32_t{1} << depth; // sentinel of a full history
+    const uint32_t cells = top << 1;
+    SuffixCounts counts;
+    counts.depth = depth;
+    counts.loads.assign(cells, 0);
+    counts.correct.assign(cells, 0);
+    std::vector<uint32_t> history(stream.entries, 1);
+    const uint32_t *entries = stream.entry.data();
+    for (size_t i = 0; i < stream.size(); ++i) {
+        uint32_t &h = history[entries[i]];
+        const uint32_t correct = stream.correctAt(i) ? 1 : 0;
+        ++counts.loads[h];
+        counts.correct[h] += correct;
+        h = (h << 1) | correct;
+        if (h >= cells)
+            h = (h & (top - 1)) | top;
+    }
+    return counts;
+}
+
+/**
+ * Tally a definite machine of index <= counts.depth from the history
+ * counts: walk the trie of histories from the start state and credit
+ * every history whose state marks confident. Below counts.depth a
+ * history is the entry's whole past; at counts.depth its last inputs
+ * already fix the state, whatever came before.
+ */
+void
+tallySuffixes(const CompactFsm &fsm, const SuffixCounts &counts,
+              uint16_t state, uint32_t history, int level,
+              ConfidenceResult &result)
+{
+    if (fsm.output[state] != 0) {
+        result.confident += counts.loads[history];
+        result.confidentCorrect += counts.correct[history];
+    }
+    if (level == counts.depth)
+        return;
+    for (uint32_t bit = 0; bit < 2; ++bit) {
+        tallySuffixes(fsm, counts, fsm.next[2 * size_t{state} + bit],
+                      (history << 1) | bit, level + 1, result);
+    }
+}
+
+/** Step @p fsm across the stream, one state per entry. */
+void
+stepFsm(const CorrectnessStream &stream, const CompactFsm &fsm,
+        ConfidenceResult &result)
+{
+    const uint32_t *entries = stream.entry.data();
+    const uint16_t *next = fsm.next.data();
+    const uint8_t *output = fsm.output.data();
+    std::vector<uint16_t> states(stream.entries, fsm.start);
+    uint64_t confident = 0;
+    uint64_t confidentCorrect = 0;
+    for (size_t i = 0; i < stream.size(); ++i) {
+        uint16_t &state = states[entries[i]];
+        const unsigned correct = stream.correctAt(i) ? 1 : 0;
+        const unsigned mark = output[state];
+        confident += mark;
+        confidentCorrect += mark & correct;
+        state = next[2 * size_t{state} + correct];
+    }
+    result.confident = confident;
+    result.confidentCorrect = confidentCorrect;
+}
+
 } // anonymous namespace
 
 ConfidenceResult
@@ -378,29 +546,29 @@ replayFsmConfidence(const CorrectnessStream &stream,
         machines.push_back(compileFsm(estimator));
 
     StageTimer timer(engineTelemetry().replayMillis);
-    std::vector<ConfidenceResult> results(estimators.size());
-    std::vector<uint16_t> states(stream.entries);
-    const uint32_t *entries = stream.entry.data();
+    // Definite machines are tallied from one count of the stream's
+    // histories, as deep as the deepest of them; the rest step.
+    std::vector<int> index(machines.size());
+    int depth = -1;
     for (size_t k = 0; k < machines.size(); ++k) {
-        const CompactFsm &fsm = machines[k];
-        const uint16_t *next = fsm.next.data();
-        const uint8_t *output = fsm.output.data();
-        std::fill(states.begin(), states.end(), fsm.start);
-        uint64_t confident = 0;
-        uint64_t confidentCorrect = 0;
-        for (size_t i = 0; i < stream.size(); ++i) {
-            uint16_t &state = states[entries[i]];
-            const unsigned correct = stream.correctAt(i) ? 1 : 0;
-            const unsigned mark = output[state];
-            confident += mark;
-            confidentCorrect += mark & correct;
-            state = next[2 * size_t{state} + correct];
-        }
+        index[k] = definiteIndex(machines[k], stream.size());
+        depth = std::max(depth, index[k]);
+    }
+    const SuffixCounts counts =
+        depth >= 0 ? countSuffixes(stream, depth) : SuffixCounts{};
+
+    std::vector<ConfidenceResult> results(estimators.size());
+    for (size_t k = 0; k < machines.size(); ++k) {
         ConfidenceResult &r = results[k];
         r.loads = stream.size();
         r.correct = stream.correct;
-        r.confident = confident;
-        r.confidentCorrect = confidentCorrect;
+        if (index[k] >= 0) {
+            tallySuffixes(machines[k], counts, machines[k].start, 1, 0, r);
+            engineTelemetry().tableReplays.inc();
+        } else {
+            stepFsm(stream, machines[k], r);
+            engineTelemetry().stepReplays.inc();
+        }
     }
     for (size_t k = 0; k < estimators.size(); ++k)
         publishConfidenceRun(estimators[k].label, results[k]);
@@ -411,7 +579,14 @@ void
 collectConfidenceModels(const CorrectnessStream &stream,
                         std::vector<MarkovModel *> models)
 {
-    assert(!models.empty());
+    for (const MarkovModel *model : models) {
+        if (model == nullptr) {
+            throw std::invalid_argument(
+                "collectConfidenceModels: null model");
+        }
+    }
+    if (models.empty())
+        return;
     StageTimer timer(engineTelemetry().collectMillis);
     std::vector<int> orders;
     orders.reserve(models.size());

@@ -182,8 +182,15 @@ struct FsmEstimator
  * Measure every estimator in @p estimators over @p stream; result i
  * equals simulateConfidence with a fresh FsmConfidence(stream.entries,
  * *estimators[i].fsm, estimators[i].label). Throws
- * std::invalid_argument for a null machine or one with more than 65535
- * states.
+ * std::invalid_argument for a null machine, one with more than 65535
+ * states or one with an undefined transition.
+ *
+ * A machine that is d-definite (after any d inputs its state depends
+ * only on those inputs, as for every flow-designed estimator of order
+ * d) is tallied from one count of the stream's per-entry histories
+ * instead of being stepped, when d <= 16 and the stream is long enough
+ * to pay for it; every other machine is stepped across the stream.
+ * Both paths give the same counts.
  */
 std::vector<ConfidenceResult>
 replayFsmConfidence(const CorrectnessStream &stream,
@@ -193,7 +200,8 @@ replayFsmConfidence(const CorrectnessStream &stream,
  * Training pass: feed each entry's correctness stream into every model
  * in @p models (each may have a different order). Entries keep
  * independent history registers, exactly mirroring how the per-entry
- * FSM estimators see the world at runtime.
+ * FSM estimators see the world at runtime. An empty @p models is a
+ * no-op; a null entry throws std::invalid_argument.
  */
 void collectConfidenceModels(const CorrectnessStream &stream,
                              std::vector<MarkovModel *> models);

@@ -1,22 +1,39 @@
 #include "vpred/context_predictor.hh"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "support/bits.hh"
 
 namespace autofsm
 {
 
+namespace
+{
+
+const FcmConfig &
+checkedFcm(const FcmConfig &config)
+{
+    checkedGeometry(config.level1, "FcmPredictor");
+    if (config.order < 1 || config.order > 3) {
+        throw std::invalid_argument("FcmPredictor: order " +
+                                    std::to_string(config.order) +
+                                    " outside [1, 3]");
+    }
+    if (config.log2Level2 < 4 || config.log2Level2 > 24) {
+        throw std::invalid_argument("FcmPredictor: log2Level2 " +
+                                    std::to_string(config.log2Level2) +
+                                    " outside [4, 24]");
+    }
+    return config;
+}
+
+} // anonymous namespace
+
 FcmPredictor::FcmPredictor(const FcmConfig &config)
-    : config_(config),
+    : config_(checkedFcm(config)),
       level1_(static_cast<size_t>(config.level1.entries)),
       level2_(1ULL << config.log2Level2)
-{
-    assert(config.level1.entries > 0 &&
-           (config.level1.entries & (config.level1.entries - 1)) == 0);
-    assert(config.order >= 1 && config.order <= 3);
-    assert(config.log2Level2 >= 4 && config.log2Level2 <= 24);
-}
+{}
 
 size_t
 FcmPredictor::indexOf(uint64_t pc) const

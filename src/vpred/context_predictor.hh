@@ -32,6 +32,9 @@ struct FcmConfig
 class FcmPredictor : public ValuePredictor
 {
   public:
+    /** Throws std::invalid_argument unless level1.entries is a
+     *  positive power of two, order is in [1, 3] and log2Level2 in
+     *  [4, 24]. */
     explicit FcmPredictor(const FcmConfig &config = {});
 
     StrideOutcome executeLoad(uint64_t pc, uint64_t value) override;

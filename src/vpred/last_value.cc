@@ -1,18 +1,14 @@
 #include "vpred/last_value.hh"
 
-#include <cassert>
-
 #include "support/bits.hh"
 
 namespace autofsm
 {
 
 LastValuePredictor::LastValuePredictor(const StrideConfig &config)
-    : config_(config), entries_(static_cast<size_t>(config.entries))
-{
-    assert(config.entries > 0 &&
-           (config.entries & (config.entries - 1)) == 0);
-}
+    : config_(checkedGeometry(config, "LastValuePredictor")),
+      entries_(static_cast<size_t>(config.entries))
+{}
 
 size_t
 LastValuePredictor::indexOf(uint64_t pc) const

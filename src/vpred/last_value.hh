@@ -19,6 +19,8 @@ namespace autofsm
 class LastValuePredictor : public ValuePredictor
 {
   public:
+    /** Throws std::invalid_argument unless config.entries is a
+     *  positive power of two. */
     explicit LastValuePredictor(const StrideConfig &config = {});
 
     StrideOutcome executeLoad(uint64_t pc, uint64_t value) override;

@@ -1,21 +1,17 @@
 #include "vpred/stride_predictor.hh"
 
-#include <cassert>
-
 #include "support/bits.hh"
 
 namespace autofsm
 {
 
 TwoDeltaStridePredictor::TwoDeltaStridePredictor(const StrideConfig &config)
-    : config_(config), entries_(static_cast<size_t>(config.entries)),
+    : config_(checkedGeometry(config, "TwoDeltaStridePredictor")),
+      entries_(static_cast<size_t>(config.entries)),
       indexMask_(static_cast<uint64_t>(config.entries - 1)),
       tagShift_(2 + ceilLog2(static_cast<uint32_t>(config.entries))),
       tagMask_(lowMask(config.tagBits))
-{
-    assert(config.entries > 0 &&
-           (config.entries & (config.entries - 1)) == 0);
-}
+{}
 
 size_t
 TwoDeltaStridePredictor::entries() const

@@ -30,6 +30,8 @@ namespace autofsm
 class TwoDeltaStridePredictor final : public ValuePredictor
 {
   public:
+    /** Throws std::invalid_argument unless config.entries is a
+     *  positive power of two. */
     explicit TwoDeltaStridePredictor(const StrideConfig &config = {});
 
     /**

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 namespace autofsm
@@ -27,6 +28,22 @@ struct StrideConfig
     int entries = 2048; ///< power-of-two table size
     int tagBits = 16;   ///< partial tag per entry
 };
+
+/**
+ * @p config itself when its table size is a positive power of two;
+ * otherwise throws std::invalid_argument naming @p predictor.
+ */
+inline const StrideConfig &
+checkedGeometry(const StrideConfig &config, const std::string &predictor)
+{
+    if (config.entries <= 0 ||
+        (config.entries & (config.entries - 1)) != 0) {
+        throw std::invalid_argument(
+            predictor + ": entries " + std::to_string(config.entries) +
+            " is not a positive power of two");
+    }
+    return config;
+}
 
 /** Result of one load execution through a value predictor. */
 struct StrideOutcome

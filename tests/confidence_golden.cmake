@@ -1,10 +1,12 @@
-# Runs the three confidence front ends (the gating and value-predictor
-# extension benches and the confidence_estimation example) and compares
-# their stdout byte for byte with the recorded outputs under
-# tests/golden/, then checks that the example rejects a bad benchmark
-# or history length with exit 1.
+# Runs the confidence front ends (the Figure 2 bench, the gating,
+# recovery and value-predictor extension benches and the
+# confidence_estimation example) and compares their stdout byte for
+# byte with the recorded outputs under tests/golden/, then checks that
+# the example rejects a bad benchmark or history length with exit 1.
 #
-#   cmake -DGATING=<path to bench_ext_gating>
+#   cmake -DFIGURE2=<path to bench_fig2_confidence>
+#         -DGATING=<path to bench_ext_gating>
+#         -DRECOVERY=<path to bench_ext_recovery>
 #         -DVALUE_PREDICTORS=<path to bench_ext_value_predictors>
 #         -DCONFIDENCE_ESTIMATION=<path to confidence_estimation>
 #         -DGOLDEN_DIR=<tests/golden> -DOUT_DIR=<output dir>
@@ -33,7 +35,9 @@ function(expect_usage_error what)
     endif()
 endfunction()
 
+expect_golden(bench_fig2_confidence_20000.txt "${FIGURE2}" 20000)
 expect_golden(bench_ext_gating_20000.txt "${GATING}" 20000)
+expect_golden(bench_ext_recovery_20000.txt "${RECOVERY}" 20000)
 expect_golden(bench_ext_value_predictors_20000.txt "${VALUE_PREDICTORS}"
               20000)
 expect_golden(confidence_estimation_gcc.txt "${CONFIDENCE_ESTIMATION}")

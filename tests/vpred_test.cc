@@ -12,8 +12,10 @@
 #include <memory>
 #include <stdexcept>
 
+#include "automata/dfa.hh"
 #include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
+#include "logicmin/cover.hh"
 #include "obs/metrics.hh"
 #include "sim/figure2.hh"
 #include "support/rng.hh"
@@ -110,6 +112,41 @@ TEST(StridePredictorTest, TagConflictReallocates)
     // Conflicting load evicts.
     EXPECT_FALSE(predictor.executeLoad(pc_b, 3).predicted);
     EXPECT_FALSE(predictor.executeLoad(pc_a, 7).predicted);
+}
+
+TEST(ValuePredictorTest, RejectsBadGeometry)
+{
+    for (int entries : {0, -4, 3, 2047, 2049}) {
+        const StrideConfig geometry{entries, 8};
+        EXPECT_THROW(TwoDeltaStridePredictor{geometry}, std::invalid_argument)
+            << entries;
+        EXPECT_THROW(LastValuePredictor{geometry}, std::invalid_argument)
+            << entries;
+        FcmConfig fcm;
+        fcm.level1 = geometry;
+        EXPECT_THROW(FcmPredictor{fcm}, std::invalid_argument) << entries;
+    }
+    for (int order : {0, 4}) {
+        FcmConfig fcm;
+        fcm.order = order;
+        EXPECT_THROW(FcmPredictor{fcm}, std::invalid_argument) << order;
+    }
+    for (int log2 : {3, 25, 64}) {
+        FcmConfig fcm;
+        fcm.log2Level2 = log2;
+        EXPECT_THROW(FcmPredictor{fcm}, std::invalid_argument) << log2;
+    }
+    FcmConfig edges;
+    edges.level1 = StrideConfig{1, 8};
+    edges.order = 3;
+    edges.log2Level2 = 4;
+    EXPECT_EQ(FcmPredictor(edges).entries(), 1u);
+
+    // Figure 2 rejects a zero-entry table instead of indexing into it.
+    Fig2Options options;
+    options.loadsPerBenchmark = 100;
+    options.stride.entries = 0;
+    EXPECT_THROW(runFigure2("gcc", options), std::invalid_argument);
 }
 
 TEST(SudConfidenceTest, PerEntryIndependence)
@@ -474,6 +511,158 @@ TEST(ConfidenceEngineTest, LongStreamMatchesReference)
                      "fsm");
 }
 
+/** A random cube over @p n history bits, each specified with @p p. */
+Cube
+randomCube(Rng &rng, int n, double p)
+{
+    Cube cube;
+    for (int bit = 0; bit < n; ++bit) {
+        if (rng.chance(p)) {
+            cube.mask |= 1U << bit;
+            if (rng.chance(0.5))
+                cube.value |= 1U << bit;
+        }
+    }
+    return cube;
+}
+
+/**
+ * The design tail's automaton stages over a random order-@p n cover: a
+ * few random cubes plus one full minterm, so the last n outcomes decide
+ * the output.
+ */
+Dfa
+randomFlowMachine(Rng &rng, int n)
+{
+    Cover cover(n);
+    cover.add(Cube::minterm(static_cast<uint32_t>(rng.below(1ULL << n)), n));
+    const int k = 1 + static_cast<int>(rng.below(4));
+    for (int i = 0; i < k; ++i)
+        cover.add(randomCube(rng, n, 0.8));
+    return Dfa::fromCover(cover).minimizeHopcroft().steadyStateReduce();
+}
+
+#ifndef AUTOFSM_NO_TELEMETRY
+/** FSM estimators replayed on @p path ("table" or "step") so far. */
+uint64_t
+fsmReplays(const std::string &path)
+{
+    for (const obs::MetricValue &metric :
+         obs::globalMetrics().snapshot().metrics) {
+        if (metric.name == "autofsm_vpred_fsm_replays_total" &&
+            metric.labels == obs::Labels{{"path", path}})
+            return metric.count;
+    }
+    return 0;
+}
+#endif
+
+TEST(ConfidenceEngineTest, SuffixTableMatchesStepping)
+{
+    // Each machine with the path it must take once the stream pays for
+    // its table (2^(order+1) loads): flow machines of order <= 16 and
+    // one-state machines are definite; orders 17 and 24 and wider
+    // saturating counters are stepped; a random DFA may go either way.
+    enum class Path { Table, Step, Either };
+    struct Case
+    {
+        Dfa fsm;
+        int order; ///< the machine's history length, 0 if not definite
+        Path path;
+        std::string label;
+    };
+    Rng rng(0x5f71);
+    std::vector<Case> cases;
+    for (int n = 1; n <= 16; ++n)
+        cases.push_back({randomFlowMachine(rng, n), n, Path::Table,
+                         "flow N=" + std::to_string(n)});
+    for (int n : {17, 24})
+        cases.push_back({randomFlowMachine(rng, n), n, Path::Step,
+                         "flow N=" + std::to_string(n)});
+    // A one-bit counter holds the last outcome: it is 1-definite.
+    cases.push_back({Dfa::saturatingCounter(1), 1, Path::Table, "counter 1"});
+    for (int bits : {2, 3})
+        cases.push_back({Dfa::saturatingCounter(bits), 0, Path::Step,
+                         "counter " + std::to_string(bits)});
+    for (int states : {2, 5, 40})
+        cases.push_back({randomDfa(rng, states), 0, Path::Either,
+                         "random " + std::to_string(states)});
+    for (int output : {0, 1})
+        cases.push_back({Dfa::constant(output), 0, Path::Table,
+                         "constant " + std::to_string(output)});
+    const size_t mixed = cases.size();
+    for (int n = 2; n <= 10; ++n)
+        cases.push_back({randomFlowMachine(rng, n), n, Path::Table,
+                         "mixed N=" + std::to_string(n)});
+
+    struct Stream
+    {
+        ValueTrace trace;
+        StrideConfig geometry;
+    };
+    const StrideConfig sparse{2048, 8};
+    const std::vector<Stream> streams = {
+        {randomValueTrace(1, 0), StrideConfig{}},
+        {randomValueTrace(2, 1), StrideConfig{}},
+        {randomValueTrace(3, 1500), StrideConfig{256, 8}},
+        // 2048 entries, ~3 loads each: most never leave warm-up.
+        {randomValueTrace(4, 6000, 2048), sparse},
+        {randomValueTrace(5, (size_t{1} << 18) + 3, 200), StrideConfig{}},
+    };
+
+    for (const Stream &input : streams) {
+        const CorrectnessStream stream =
+            buildCorrectnessStream(input.trace, input.geometry);
+        const std::string where =
+            " len=" + std::to_string(stream.size());
+        std::vector<ConfidenceResult> oracle;
+        std::vector<FsmEstimator> batch;
+        for (const Case &c : cases) {
+            FsmConfidence estimator(stream.entries, c.fsm, c.label);
+            oracle.push_back(
+                simulateConfidence(input.trace, input.geometry, estimator));
+            batch.push_back({&c.fsm, c.label});
+        }
+
+        // One machine per call: each path checked on its own.
+        for (size_t k = 0; k < cases.size(); ++k) {
+            const Case &c = cases[k];
+#ifndef AUTOFSM_NO_TELEMETRY
+            const uint64_t table = fsmReplays("table");
+            const uint64_t step = fsmReplays("step");
+#endif
+            expectSameResult(replayFsmConfidence(stream, {batch[k]})[0],
+                             oracle[k], c.label + where);
+#ifndef AUTOFSM_NO_TELEMETRY
+            // The table pays for itself once 2^(order+1) <= length.
+            const bool fits = (size_t{2} << c.order) <= stream.size();
+            const uint64_t tabled = fsmReplays("table") - table;
+            EXPECT_EQ(tabled + fsmReplays("step") - step, 1u) << c.label;
+            if (c.path == Path::Table && fits) {
+                EXPECT_EQ(tabled, 1u) << c.label << where;
+            }
+            if (c.path == Path::Step || !fits) {
+                EXPECT_EQ(tabled, 0u) << c.label << where;
+            }
+#endif
+        }
+
+        // Every machine in one call, and the mixed-order batch alone:
+        // the table is as deep as the deepest definite machine.
+        const std::vector<ConfidenceResult> all =
+            replayFsmConfidence(stream, batch);
+        for (size_t k = 0; k < cases.size(); ++k)
+            expectSameResult(all[k], oracle[k], "batch " + cases[k].label +
+                                 where);
+        const std::vector<ConfidenceResult> orders = replayFsmConfidence(
+            stream, {batch.begin() + static_cast<std::ptrdiff_t>(mixed),
+                     batch.end()});
+        for (size_t k = mixed; k < cases.size(); ++k)
+            expectSameResult(orders[k - mixed], oracle[k],
+                             "mixed batch " + cases[k].label + where);
+    }
+}
+
 TEST(ConfidenceEngineTest, StreamRecordsEveryVerdict)
 {
     const ValueTrace trace = randomValueTrace(5, 1000);
@@ -550,6 +739,39 @@ TEST(ConfidenceEngineTest, StreamCollectMatchesPerEntryTraining)
             }
         }
     }
+}
+
+TEST(ConfidenceEngineTest, CollectTakesEmptyButNotNullModels)
+{
+    const ValueTrace trace = randomValueTrace(11, 500);
+    const CorrectnessStream stream =
+        buildCorrectnessStream(trace, StrideConfig{});
+    EXPECT_NO_THROW(collectConfidenceModels(stream, {}));
+    EXPECT_NO_THROW(collectConfidenceModels(trace, StrideConfig{}, {}));
+
+    MarkovModel model(4);
+    for (const std::vector<MarkovModel *> &models :
+         {std::vector<MarkovModel *>{nullptr},
+          std::vector<MarkovModel *>{&model, nullptr}}) {
+        try {
+            collectConfidenceModels(stream, models);
+            ADD_FAILURE() << "a null model was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("collectConfidenceModels"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // Nothing reached the valid model before the null one was found.
+    EXPECT_EQ(model.totalObservations(), 0u);
+
+    // Figure 2 with no FSM histories: the SUD panel alone.
+    Fig2Options options;
+    options.loadsPerBenchmark = 2000;
+    options.histories = {};
+    const Fig2Benchmark result = runFigure2("gcc", options);
+    EXPECT_EQ(result.sudPoints.size(), 60u);
+    EXPECT_TRUE(result.fsmCurves.empty());
 }
 
 TEST(ConfidenceEngineTest, RejectsUnrepresentableEstimators)
@@ -663,16 +885,23 @@ TEST(ConfidenceEngineTest, PublishesSameCountersAsReference)
 
 TEST(ConfidenceEngineTest, Figure2RunTimesEveryStage)
 {
+    // The paper's 35 estimators (histories 2-10, seven thresholds), on
+    // enough loads to pay for the order-10 table and its definiteness
+    // walk.
     Fig2Options options;
-    options.loadsPerBenchmark = 2000;
-    options.histories = {2};
-    options.thresholds = {0.8};
+    options.loadsPerBenchmark = 20000;
     const obs::MetricsSnapshot before = obs::globalMetrics().snapshot();
+    const uint64_t table = fsmReplays("table");
+    const uint64_t step = fsmReplays("step");
     runFigure2("gcc", options);
     const obs::MetricsSnapshot after = obs::globalMetrics().snapshot();
     for (const char *stage : {"stream", "replay", "collect"})
         EXPECT_GT(stageCount(after, stage), stageCount(before, stage))
             << stage;
+    // Every flow-designed estimator is replayed from the suffix table;
+    // a fall-back to stepping would keep the results but lose the gain.
+    EXPECT_EQ(fsmReplays("table") - table, 35u);
+    EXPECT_EQ(fsmReplays("step") - step, 0u);
 }
 
 #endif // AUTOFSM_NO_TELEMETRY
