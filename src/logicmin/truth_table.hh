@@ -19,19 +19,30 @@
 namespace autofsm
 {
 
-/** ON/DC specification of a boolean function of up to 32 variables. */
+/**
+ * ON/DC specification of a boolean function of 1 to MaxVars variables.
+ *
+ * Every entry point checks its input and throws std::invalid_argument
+ * for a variable count outside [1, MaxVars], a minterm >= 2^numVars, or
+ * a minterm added to both the ON-set and the DC-set.
+ */
 class TruthTable
 {
   public:
+    /** Largest variable count: the dense tag map takes 2^numVars bytes. */
+    static constexpr int MaxVars = 24;
+
     explicit TruthTable(int num_vars);
 
     /** Number of input variables. */
     int numVars() const { return numVars_; }
 
-    /** Add @p minterm to the ON-set (must not already be DC). */
+    /** Add @p minterm to the ON-set; a repeat is a no-op. Throws if it
+     *  is already a don't-care. */
     void addOn(uint32_t minterm);
 
-    /** Add @p minterm to the DC-set (must not already be ON). */
+    /** Add @p minterm to the DC-set; a repeat is a no-op. Throws if it
+     *  is already in the ON-set. */
     void addDontCare(uint32_t minterm);
 
     /** ON-set minterms in insertion order. */
@@ -40,12 +51,6 @@ class TruthTable
     /** DC-set minterms in insertion order. */
     const std::vector<uint32_t> &dontCareSet() const { return dc_; }
 
-    /**
-     * Enumerate the OFF-set: every minterm not in ON or DC.
-     * Cost is O(2^numVars); callers cap numVars accordingly.
-     */
-    std::vector<uint32_t> offSet() const;
-
     /** True iff @p minterm is in the ON-set. */
     bool isOn(uint32_t minterm) const;
 
@@ -53,6 +58,9 @@ class TruthTable
     bool isDontCare(uint32_t minterm) const;
 
   private:
+    /** Throws unless @p minterm < 2^numVars. */
+    void checkMinterm(uint32_t minterm) const;
+
     int numVars_;
     std::vector<uint32_t> on_;
     std::vector<uint32_t> dc_;

@@ -1,36 +1,27 @@
 #include "synth/area.hh"
 
 #include <cassert>
+#include <chrono>
 
 #include "logicmin/espresso.hh"
-#include "logicmin/minimize.hh"
+#include "obs/metrics.hh"
 #include "support/bits.hh"
 
 namespace autofsm
 {
 
-AreaEstimate
-estimateFsmArea(const Dfa &fsm, const AreaCosts &costs)
+std::vector<TruthTable>
+fsmLogicTables(const Dfa &fsm)
 {
-    AreaEstimate est;
-    est.states = fsm.numStates();
-
+    std::vector<TruthTable> tables;
     const int n = fsm.numStates();
-    if (n <= 1) {
-        // Constant predictor: a wire, no sequential logic at all.
-        est.area = costs.output;
-        return est;
-    }
-
-    const int k = ceilLog2(static_cast<uint32_t>(n));
-    est.flops = k;
+    if (n <= 1)
+        return tables;
 
     // Next-state logic: k functions of (k state bits + 1 input bit).
     // Input encoding: bits [0, k) = current state code, bit k = din.
     // Codes >= n never occur and are don't-cares for every function.
-    EspressoOptions quick;
-    quick.maxIterations = 2; // area estimation favors speed
-
+    const int k = ceilLog2(static_cast<uint32_t>(n));
     for (int bit = 0; bit < k; ++bit) {
         TruthTable table(k + 1);
         for (int s = 0; s < (1 << k); ++s) {
@@ -45,27 +36,53 @@ estimateFsmArea(const Dfa &fsm, const AreaCosts &costs)
                 }
             }
         }
-        const Cover cover = minimizeEspresso(table, quick);
-        est.terms += static_cast<int>(cover.size());
-        est.literals += cover.literalCount();
+        tables.push_back(std::move(table));
     }
 
     // Moore output: one function of the k state bits.
-    {
-        TruthTable table(k);
-        for (int s = 0; s < (1 << k); ++s) {
-            if (s >= n)
-                table.addDontCare(static_cast<uint32_t>(s));
-            else if (fsm.output(s))
-                table.addOn(static_cast<uint32_t>(s));
-        }
+    TruthTable output(k);
+    for (int s = 0; s < (1 << k); ++s) {
+        if (s >= n)
+            output.addDontCare(static_cast<uint32_t>(s));
+        else if (fsm.output(s))
+            output.addOn(static_cast<uint32_t>(s));
+    }
+    tables.push_back(std::move(output));
+    return tables;
+}
+
+AreaEstimate
+estimateFsmArea(const Dfa &fsm, const AreaCosts &costs)
+{
+    const bool timed = obs::globalMetrics().enabled();
+    const auto start = timed ? std::chrono::steady_clock::now()
+                             : std::chrono::steady_clock::time_point{};
+
+    // A constant predictor has no tables: a wire, no sequential logic.
+    AreaEstimate est;
+    est.states = fsm.numStates();
+    est.flops = fsm.numStates() <= 1
+        ? 0
+        : ceilLog2(static_cast<uint32_t>(fsm.numStates()));
+    EspressoOptions quick;
+    quick.maxIterations = 2; // area estimation favors speed
+    for (const TruthTable &table : fsmLogicTables(fsm)) {
         const Cover cover = minimizeEspresso(table, quick);
         est.terms += static_cast<int>(cover.size());
         est.literals += cover.literalCount();
     }
-
     est.area = costs.flop * est.flops + costs.term * est.terms +
         costs.literal * est.literals + costs.output;
+
+    if (timed) {
+        static obs::Histogram millis = obs::globalMetrics().histogram(
+            "autofsm_synth_area_millis",
+            "Wall-clock of one estimateFsmArea call.",
+            obs::defaultLatencyBucketsMillis());
+        millis.observe(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+    }
     return est;
 }
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "automata/dfa.hh"
+#include "logicmin/truth_table.hh"
 #include "support/stats.hh"
 
 namespace autofsm
@@ -47,8 +48,18 @@ struct AreaEstimate
 };
 
 /**
+ * The logic functions of @p fsm under binary state encoding: for
+ * k = ceilLog2(numStates) state bits, the k next-state functions of
+ * (state code in bits [0, k), input in bit k), then the Moore output
+ * function of the state code. Unused codes are don't-cares. Empty for a
+ * machine of at most one state.
+ */
+std::vector<TruthTable> fsmLogicTables(const Dfa &fsm);
+
+/**
  * Estimate the implementation area of @p fsm by performing the
  * binary-encoding + two-level-minimization synthesis described above.
+ * Each call is observed in the histogram `autofsm_synth_area_millis`.
  */
 AreaEstimate estimateFsmArea(const Dfa &fsm, const AreaCosts &costs = {});
 

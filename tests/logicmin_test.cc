@@ -6,11 +6,21 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "bpred/trainer.hh"
 #include "logicmin/espresso.hh"
 #include "logicmin/minimize.hh"
 #include "logicmin/quine_mccluskey.hh"
+#include "reference_minimizers.hh"
+#include "sim/figure5.hh"
 #include "support/rng.hh"
+#include "synth/area.hh"
+#include "workloads/branch_workloads.hh"
+#include "workloads/trace_cache.hh"
 
 namespace autofsm
 {
@@ -86,10 +96,53 @@ TEST(TruthTableTest, TracksMembership)
     EXPECT_TRUE(table.isOn(0));
     EXPECT_FALSE(table.isOn(7));
     EXPECT_TRUE(table.isDontCare(7));
-    EXPECT_EQ(table.offSet().size(), 6u);
+    int off = 0;
+    for (uint32_t m = 0; m < 8; ++m)
+        off += !table.isOn(m) && !table.isDontCare(m);
+    EXPECT_EQ(off, 6);
     // Duplicate insertion is idempotent.
     table.addOn(0b000);
+    table.addDontCare(0b111);
     EXPECT_EQ(table.onSet().size(), 1u);
+    EXPECT_EQ(table.dontCareSet().size(), 1u);
+}
+
+TEST(TruthTableTest, RejectsVariableCountsOutsideTheDenseRange)
+{
+    EXPECT_THROW(TruthTable(0), std::invalid_argument);
+    EXPECT_THROW(TruthTable(-3), std::invalid_argument);
+    EXPECT_THROW(TruthTable(TruthTable::MaxVars + 1), std::invalid_argument);
+    EXPECT_THROW(TruthTable(32), std::invalid_argument);
+    EXPECT_EQ(TruthTable(1).numVars(), 1);
+    EXPECT_EQ(TruthTable(TruthTable::MaxVars).numVars(), TruthTable::MaxVars);
+}
+
+TEST(TruthTableTest, RejectsMintermsOutsideTheTable)
+{
+    TruthTable table(3);
+    EXPECT_THROW(table.addOn(8), std::invalid_argument);
+    EXPECT_THROW(table.addOn(9), std::invalid_argument);
+    EXPECT_THROW(table.addDontCare(8), std::invalid_argument);
+    EXPECT_THROW(table.addDontCare(0xffffffffU), std::invalid_argument);
+    EXPECT_THROW(table.isOn(8), std::invalid_argument);
+    EXPECT_THROW(table.isDontCare(1U << 31), std::invalid_argument);
+    EXPECT_TRUE(table.onSet().empty());
+    EXPECT_TRUE(table.dontCareSet().empty());
+}
+
+TEST(TruthTableTest, RejectsMintermsInBothOnAndDontCare)
+{
+    TruthTable table(3);
+    table.addOn(1);
+    EXPECT_THROW(table.addDontCare(1), std::invalid_argument);
+    table.addDontCare(2);
+    EXPECT_THROW(table.addOn(2), std::invalid_argument);
+    EXPECT_TRUE(table.isOn(1));
+    EXPECT_FALSE(table.isDontCare(1));
+    EXPECT_FALSE(table.isOn(2));
+    EXPECT_TRUE(table.isDontCare(2));
+    EXPECT_EQ(table.onSet(), std::vector<uint32_t>{1});
+    EXPECT_EQ(table.dontCareSet(), std::vector<uint32_t>{2});
 }
 
 TEST(CoverTest, EvaluateAndLiterals)
@@ -311,6 +364,199 @@ TEST(MinimizerStressTest, TenVariableBiasedFunction)
     EXPECT_TRUE(cover.implements(table));
     // The structure should compress far below one cube per minterm.
     EXPECT_LT(cover.size(), table.onSet().size() / 2);
+}
+
+/**
+ * Differential test: the bit-plane minimizer must return exactly the
+ * reference engine's cover (tests/reference_minimizers.hh), the same
+ * cubes in the same order, not merely an equivalent function.
+ */
+class EspressoDifferentialTest : public ::testing::Test
+{
+  protected:
+    /** Minimize @p table with both engines at every iteration count in
+     *  @p iterations and require identical cube lists. */
+    static void
+    expectSameCover(const TruthTable &table, const std::string &label,
+                    std::vector<int> iterations = {1, 2, 3, 4})
+    {
+        for (int iters : iterations) {
+            EspressoOptions options;
+            options.maxIterations = iters;
+            const Cover got = minimizeEspresso(table, options);
+            const Cover want = reference::minimizeEspresso(table, options);
+            ASSERT_EQ(got.toString(), want.toString())
+                << label << " maxIterations=" << iters;
+            ASSERT_TRUE(got.cubes() == want.cubes())
+                << label << " maxIterations=" << iters;
+        }
+    }
+
+    /** Fisher-Yates shuffle with the test's own generator. */
+    static void
+    shuffle(std::vector<uint32_t> &items, Rng &rng)
+    {
+        for (size_t i = items.size(); i > 1; --i)
+            std::swap(items[i - 1], items[rng.below(i)]);
+    }
+
+    /** A table from ON and DC lists, each added in a shuffled order. */
+    static TruthTable
+    shuffledTable(int num_vars, std::vector<uint32_t> on,
+                  std::vector<uint32_t> dc, Rng &rng)
+    {
+        shuffle(on, rng);
+        shuffle(dc, rng);
+        TruthTable table(num_vars);
+        for (uint32_t m : on)
+            table.addOn(m);
+        for (uint32_t m : dc)
+            table.addDontCare(m);
+        return table;
+    }
+
+    /** @p on_count ON and @p dc_count DC minterms drawn at random from
+     *  2^num_vars, for tables too large to roll per minterm. */
+    static TruthTable
+    sparseTable(int num_vars, size_t on_count, size_t dc_count, Rng &rng)
+    {
+        TruthTable table(num_vars);
+        const uint64_t size = uint64_t{1} << num_vars;
+        while (table.onSet().size() < on_count) {
+            table.addOn(static_cast<uint32_t>(rng.below(size)));
+        }
+        while (table.dontCareSet().size() < dc_count) {
+            const auto m = static_cast<uint32_t>(rng.below(size));
+            if (!table.isOn(m))
+                table.addDontCare(m);
+        }
+        return table;
+    }
+};
+
+TEST_F(EspressoDifferentialTest, RandomTablesAtSeveralDensities)
+{
+    const std::pair<double, double> densities[] = {
+        {0.05, 0.02}, {0.2, 0.1}, {0.35, 0.15}, {0.6, 0.2}, {0.9, 0.05}};
+    Rng rng(0xe59);
+    for (int num_vars = 1; num_vars <= 12; ++num_vars) {
+        for (const auto &[on_frac, dc_frac] : densities) {
+            for (int seed = 0; seed < (num_vars <= 10 ? 4 : 1); ++seed) {
+                std::vector<uint32_t> on, dc;
+                for (uint32_t m = 0; m < (1U << num_vars); ++m) {
+                    const double roll = rng.uniform();
+                    if (roll < on_frac)
+                        on.push_back(m);
+                    else if (roll < on_frac + dc_frac)
+                        dc.push_back(m);
+                }
+                expectSameCover(
+                    shuffledTable(num_vars, on, dc, rng),
+                    "random n=" + std::to_string(num_vars) + " on=" +
+                        std::to_string(on_frac) + " seed=" +
+                        std::to_string(seed));
+            }
+        }
+    }
+}
+
+TEST_F(EspressoDifferentialTest, WorkloadShapedTables)
+{
+    // Biased by the recent history bits, as branch pattern sets are
+    // (the shape bench_ablation_minimizer draws).
+    Rng rng(0xb1a5);
+    for (int num_vars = 3; num_vars <= 12; ++num_vars) {
+        for (int seed = 0; seed < 3; ++seed) {
+            std::vector<uint32_t> on, dc;
+            for (uint32_t m = 0; m < (1U << num_vars); ++m) {
+                const bool likely =
+                    (m & 0b11) == 0b11 || (m & 0b101) == 0b101;
+                const double roll = rng.uniform();
+                if (roll < (likely ? 0.9 : 0.05))
+                    on.push_back(m);
+                else if (roll < (likely ? 0.95 : 0.15))
+                    dc.push_back(m);
+            }
+            expectSameCover(shuffledTable(num_vars, on, dc, rng),
+                            "biased n=" + std::to_string(num_vars));
+        }
+    }
+}
+
+TEST_F(EspressoDifferentialTest, EdgeTables)
+{
+    Rng rng(0xed6e);
+    for (int num_vars : {1, 2, 5, 6, 7, 10}) {
+        const uint32_t size = 1U << num_vars;
+        const std::string n = " n=" + std::to_string(num_vars);
+        std::vector<uint32_t> all(size);
+        for (uint32_t m = 0; m < size; ++m)
+            all[m] = m;
+
+        // Empty ON set, with and without don't-cares.
+        expectSameCover(TruthTable(num_vars), "empty" + n);
+        expectSameCover(shuffledTable(num_vars, {}, all, rng),
+                        "all-dc" + n);
+        // Full ON set: no OFF minterm at all.
+        expectSameCover(shuffledTable(num_vars, all, {}, rng), "full" + n);
+
+        const auto pick = static_cast<uint32_t>(rng.below(size));
+        std::vector<uint32_t> rest;
+        for (uint32_t m = 0; m < size; ++m) {
+            if (m != pick)
+                rest.push_back(m);
+        }
+        // All don't-care but one ON minterm.
+        expectSameCover(shuffledTable(num_vars, {pick}, rest, rng),
+                        "dc-but-one-on" + n);
+        // All ON but one OFF minterm, and all DC but one OFF minterm.
+        expectSameCover(shuffledTable(num_vars, rest, {}, rng),
+                        "on-but-one-off" + n);
+        if (num_vars > 1) {
+            std::vector<uint32_t> dc(rest.begin() + 1, rest.end());
+            expectSameCover(shuffledTable(num_vars, {rest[0]}, dc, rng),
+                            "dc-but-one-off" + n);
+        }
+        // A single ON minterm; everything else OFF.
+        expectSameCover(shuffledTable(num_vars, {pick}, {}, rng),
+                        "single" + n);
+    }
+}
+
+TEST_F(EspressoDifferentialTest, SparseWideTables)
+{
+    // The reference scans an explicit 2^N OFF list; these sizes keep it
+    // to about a second at N = 16 and at the 24-variable ceiling.
+    Rng rng(0x5a7);
+    for (int seed = 0; seed < 2; ++seed) {
+        expectSameCover(sparseTable(16, 60, 400, rng), "sparse n=16", {4});
+    }
+    expectSameCover(sparseTable(24, 3, 12, rng), "sparse n=24", {4});
+    TruthTable single(24);
+    single.addOn(0xabcdef);
+    expectSameCover(single, "single n=24", {2});
+}
+
+TEST_F(EspressoDifferentialTest, Figure5AreaTables)
+{
+    // Every next-state and output function estimateFsmArea minimizes
+    // for the Figure 5 custom machines at 20k branches per run.
+    const Fig5Options fig5;
+    size_t machines = 0;
+    for (const std::string &name : branchBenchmarkNames()) {
+        const auto trace =
+            cachedBranchTrace(name, WorkloadInput::Train, 20000);
+        for (const TrainedBranch &branch :
+             trainCustomPredictors(*trace, fig5.training)) {
+            ++machines;
+            for (const TruthTable &table :
+                 fsmLogicTables(branch.design.fsm)) {
+                expectSameCover(table, name + " pc=" +
+                                           std::to_string(branch.pc));
+            }
+        }
+    }
+    EXPECT_GT(machines, 0u);
 }
 
 } // anonymous namespace

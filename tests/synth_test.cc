@@ -7,6 +7,7 @@
 
 #include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
+#include "obs/metrics.hh"
 #include "support/rng.hh"
 #include "synth/area.hh"
 #include "synth/vhdl.hh"
@@ -116,6 +117,59 @@ TEST(AreaTest, AreaGrowsWithStates)
     const double large = estimateFsmArea(ring(64)).area;
     EXPECT_LT(small, medium);
     EXPECT_LT(medium, large);
+}
+
+/** Observations so far in `autofsm_synth_area_millis` (0 before the
+ *  first timed call registers it). */
+uint64_t
+areaMillisCount()
+{
+    for (const obs::MetricValue &metric :
+         obs::globalMetrics().snapshot().metrics) {
+        if (metric.name == "autofsm_synth_area_millis")
+            return metric.histogram.count;
+    }
+    return 0;
+}
+
+TEST(AreaTest, EachCallIsTimed)
+{
+#ifdef AUTOFSM_NO_TELEMETRY
+    GTEST_SKIP() << "built with AUTOFSM_NO_TELEMETRY";
+#endif
+    obs::globalMetrics().enable(true);
+    const uint64_t before = areaMillisCount();
+    estimateFsmArea(paperFsm());
+    estimateFsmArea(Dfa::constant(1));
+    EXPECT_EQ(areaMillisCount(), before + 2);
+}
+
+TEST(AreaTest, LogicTablesFollowTheBinaryEncoding)
+{
+    // Three states: two code bits, so two next-state tables over
+    // (code, din) plus the output table over the code; code 3 is unused.
+    const Dfa fsm = paperFsm();
+    const std::vector<TruthTable> tables = fsmLogicTables(fsm);
+    ASSERT_EQ(tables.size(), 3u);
+    EXPECT_EQ(tables[0].numVars(), 3);
+    EXPECT_EQ(tables[1].numVars(), 3);
+    EXPECT_EQ(tables[2].numVars(), 2);
+    for (int s = 0; s < 3; ++s) {
+        for (int din = 0; din < 2; ++din) {
+            const uint32_t row = static_cast<uint32_t>(s | din << 2);
+            for (int bit = 0; bit < 2; ++bit) {
+                EXPECT_EQ(tables[static_cast<size_t>(bit)].isOn(row),
+                          ((fsm.next(s, din) >> bit) & 1) != 0);
+            }
+        }
+        EXPECT_EQ(tables[2].isOn(static_cast<uint32_t>(s)),
+                  fsm.output(s) != 0);
+    }
+    for (int din = 0; din < 2; ++din) {
+        EXPECT_TRUE(tables[0].isDontCare(static_cast<uint32_t>(3 | din << 2)));
+    }
+    EXPECT_TRUE(tables[2].isDontCare(3));
+    EXPECT_TRUE(fsmLogicTables(Dfa::constant(0)).empty());
 }
 
 TEST(AreaTest, TableAreaIsLinearInBits)
