@@ -19,6 +19,7 @@
 #include <iostream>
 
 #include "flow/api.hh"
+#include "sim/figure2.hh"
 #include "vpred/conf_sim.hh"
 #include "workloads/value_workloads.hh"
 
@@ -80,14 +81,9 @@ main(int argc, char **argv)
             buildCorrectnessStream(makeValueTrace(name, loads), stride);
 
         // Cross-trained model, history 8.
-        MarkovModel model(8);
-        for (const std::string &other : valueBenchmarkNames()) {
-            if (other == name)
-                continue;
-            collectConfidenceModels(
-                buildCorrectnessStream(makeValueTrace(other, loads), stride),
-                {&model});
-        }
+        const MarkovModel model =
+            leaveOneOutConfidenceModels(name, loads, stride, {8}, &own)
+                .front();
 
         // Simulate every estimator once; policies only rescore them.
         const std::vector<ConfidenceResult> sud =

@@ -72,7 +72,11 @@ MarkovModel::counts(uint32_t history) const
 void
 MarkovModel::merge(const MarkovModel &other)
 {
-    assert(other.order_ == order_);
+    if (other.order_ != order_) {
+        throw std::invalid_argument(
+            "MarkovModel::merge: order " + std::to_string(other.order_) +
+            " into order " + std::to_string(order_));
+    }
     for (const auto &[history, counts] : other.table_) {
         auto &entry = table_[history];
         entry.ones += counts.ones;

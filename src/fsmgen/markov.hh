@@ -89,7 +89,11 @@ class MarkovModel
              2 * sizeof(void *));
     }
 
-    /** Merge another model of the same order into this one. */
+    /**
+     * Merge another model of the same order into this one.
+     * @throws std::invalid_argument when the orders differ (the tables
+     *         would mix history widths); this model is left unchanged.
+     */
     void merge(const MarkovModel &other);
 
     /** Read-only view of the sparse table. */

@@ -63,10 +63,42 @@ struct Fig2Options
  * Run the Figure 2 experiment for @p benchmark (one of
  * valueBenchmarkNames()). FSM estimators are cross-trained: the Markov
  * models aggregate every *other* benchmark's per-entry correctness
- * streams, never the reported benchmark's own.
+ * streams, never the reported benchmark's own (see
+ * leaveOneOutConfidenceModels).
  */
 Fig2Benchmark runFigure2(const std::string &benchmark,
                          const Fig2Options &options = {});
+
+/**
+ * Section 6.3's leave-one-out training set for @p benchmark: for each
+ * order in @p orders, the MarkovModel::merge of the per-entry
+ * correctness models (collectConfidenceModels) of every *other* value
+ * benchmark's two-delta stride stream of @p loadsPerBenchmark loads
+ * under @p stride. The counts are those of collecting the four streams
+ * into one model.
+ *
+ * Each benchmark's models are collected once per process and memoized,
+ * keyed by benchmark, loads, every StrideConfig field and order: a
+ * five-benchmark suite builds five streams for training, not twenty.
+ * Only models are kept, never traces or streams. The memo is
+ * thread-safe (concurrent callers of one key wait on one build), never
+ * caches a failure, and is emptied by clearBranchTraceCache()
+ * (workloads/trace_cache.hh) so cleared passes start cold.
+ *
+ * @param own @p benchmark's own stream under the same loads and
+ *        stride, or null. When given, @p benchmark's memo entries are
+ *        filled from it, so a later call for another benchmark does not
+ *        build that stream again.
+ * @throws std::invalid_argument for a name outside
+ *         valueBenchmarkNames(), an order outside [1, 24] or a stride
+ *         geometry the predictor rejects.
+ */
+std::vector<MarkovModel>
+leaveOneOutConfidenceModels(const std::string &benchmark,
+                            size_t loadsPerBenchmark,
+                            const StrideConfig &stride,
+                            const std::vector<int> &orders,
+                            const CorrectnessStream *own = nullptr);
 
 /** Run all five benchmarks. */
 std::vector<Fig2Benchmark> runFigure2All(const Fig2Options &options = {});

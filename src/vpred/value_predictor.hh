@@ -30,8 +30,9 @@ struct StrideConfig
 };
 
 /**
- * @p config itself when its table size is a positive power of two;
- * otherwise throws std::invalid_argument naming @p predictor.
+ * @p config itself when its table size is a positive power of two and
+ * its tag width lies in [0, 32] (the widest lowMask); otherwise throws
+ * std::invalid_argument naming @p predictor.
  */
 inline const StrideConfig &
 checkedGeometry(const StrideConfig &config, const std::string &predictor)
@@ -41,6 +42,11 @@ checkedGeometry(const StrideConfig &config, const std::string &predictor)
         throw std::invalid_argument(
             predictor + ": entries " + std::to_string(config.entries) +
             " is not a positive power of two");
+    }
+    if (config.tagBits < 0 || config.tagBits > 32) {
+        throw std::invalid_argument(
+            predictor + ": tagBits " + std::to_string(config.tagBits) +
+            " outside [0, 32]");
     }
     return config;
 }

@@ -1,5 +1,6 @@
 #include "workloads/trace_cache.hh"
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <mutex>
@@ -37,6 +38,9 @@ struct TraceCache
     uint64_t evictions = 0;
     uint64_t clock = 0;
     size_t capacity = 64;
+    /** Bumped by every clear; read without the lock by
+     *  workloadTraceGeneration(). */
+    std::atomic<uint64_t> generation{0};
 };
 
 /**
@@ -269,6 +273,13 @@ clearBranchTraceCache()
     c.hits = 0;
     c.misses = 0;
     c.evictions = 0;
+    ++c.generation;
+}
+
+uint64_t
+workloadTraceGeneration()
+{
+    return cache().generation.load();
 }
 
 } // namespace autofsm

@@ -76,9 +76,24 @@ size_t setBranchTraceCacheCapacity(size_t capacity);
 
 /**
  * Drop every cached trace (outstanding shared_ptrs stay valid) and
- * zero the stats. For tests; production code never needs it.
+ * zero the stats. For tests and cold benchmark passes; production code
+ * never needs it.
+ *
+ * Clearing also drops every memo derived from workload traces (such as
+ * Figure 2's per-benchmark confidence models, sim/figure2.hh): each
+ * clear bumps workloadTraceGeneration(), and those memos empty
+ * themselves on their next lookup when it has moved. A cleared process
+ * therefore starts cold without the cache knowing its dependents.
  */
 void clearBranchTraceCache();
+
+/**
+ * Generation of the workload-trace caches: starts at 0 and is bumped by
+ * every clearBranchTraceCache(). A memo derived from workload traces
+ * records the generation it was filled under and drops its entries
+ * when the generation differs.
+ */
+uint64_t workloadTraceGeneration();
 
 } // namespace autofsm
 

@@ -94,6 +94,22 @@ TEST(MarkovTest, MergeAggregatesSuites)
     EXPECT_EQ(a.totalObservations(), 2u);
 }
 
+TEST(MarkovTest, MergeRejectsOrderMismatch)
+{
+    // Checked in every build type: merging an order-4 table into an
+    // order-8 model would mix history widths in one table.
+    MarkovModel wide(8), narrow(4);
+    wide.train({0, 0, 0, 0, 0, 0, 0, 0, 1});
+    narrow.train({1, 1, 1, 1, 0});
+    EXPECT_THROW(wide.merge(narrow), std::invalid_argument);
+    EXPECT_THROW(narrow.merge(wide), std::invalid_argument);
+    // Neither table was touched.
+    EXPECT_EQ(wide.totalObservations(), 1u);
+    EXPECT_EQ(wide.distinctHistories(), 1u);
+    EXPECT_EQ(narrow.totalObservations(), 1u);
+    EXPECT_EQ(narrow.counts(fromBinary("1111")).ones, 0u);
+}
+
 TEST(MarkovTest, HistoryPackingMatchesPaperNotation)
 {
     // Trace 1,0 then next 1: history "10" (older=1, newer=0).

@@ -8,12 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "automata/dfa.hh"
+#include "flow/api.hh"
 #include "flow/design_flow.hh"
+#include "flow/design_memo.hh"
 #include "fsmgen/designer.hh"
 #include "logicmin/cover.hh"
 #include "obs/metrics.hh"
@@ -25,6 +31,7 @@
 #include "vpred/hybrid_predictor.hh"
 #include "vpred/last_value.hh"
 #include "vpred/stride_predictor.hh"
+#include "workloads/trace_cache.hh"
 #include "workloads/value_workloads.hh"
 
 namespace autofsm
@@ -136,6 +143,27 @@ TEST(ValuePredictorTest, RejectsBadGeometry)
         fcm.log2Level2 = log2;
         EXPECT_THROW(FcmPredictor{fcm}, std::invalid_argument) << log2;
     }
+    // Tag widths outside [0, 32] would reach lowMask as a shift of -1
+    // or past the word.
+    for (int tag_bits : {-1, -32, 33, 64}) {
+        const StrideConfig geometry{2048, tag_bits};
+        EXPECT_THROW(TwoDeltaStridePredictor{geometry}, std::invalid_argument)
+            << tag_bits;
+        EXPECT_THROW(LastValuePredictor{geometry}, std::invalid_argument)
+            << tag_bits;
+        FcmConfig fcm;
+        fcm.level1 = geometry;
+        EXPECT_THROW(FcmPredictor{fcm}, std::invalid_argument) << tag_bits;
+        HybridConfig hybrid;
+        hybrid.stride = geometry;
+        EXPECT_THROW(HybridPredictor{hybrid}, std::invalid_argument)
+            << tag_bits;
+    }
+    for (int tag_bits : {0, 32}) {
+        const StrideConfig geometry{64, tag_bits};
+        EXPECT_EQ(TwoDeltaStridePredictor(geometry).entries(), 64u);
+        EXPECT_EQ(LastValuePredictor(geometry).entries(), 64u);
+    }
     FcmConfig edges;
     edges.level1 = StrideConfig{1, 8};
     edges.order = 3;
@@ -146,6 +174,8 @@ TEST(ValuePredictorTest, RejectsBadGeometry)
     Fig2Options options;
     options.loadsPerBenchmark = 100;
     options.stride.entries = 0;
+    EXPECT_THROW(runFigure2("gcc", options), std::invalid_argument);
+    options.stride = StrideConfig{2048, -1};
     EXPECT_THROW(runFigure2("gcc", options), std::invalid_argument);
 }
 
@@ -887,9 +917,11 @@ TEST(ConfidenceEngineTest, Figure2RunTimesEveryStage)
 {
     // The paper's 35 estimators (histories 2-10, seven thresholds), on
     // enough loads to pay for the order-10 table and its definiteness
-    // walk.
+    // walk. Clearing the trace cache empties the model memo, so the
+    // first call is cold whichever tests ran before.
     Fig2Options options;
     options.loadsPerBenchmark = 20000;
+    clearBranchTraceCache();
     const obs::MetricsSnapshot before = obs::globalMetrics().snapshot();
     const uint64_t table = fsmReplays("table");
     const uint64_t step = fsmReplays("step");
@@ -898,13 +930,367 @@ TEST(ConfidenceEngineTest, Figure2RunTimesEveryStage)
     for (const char *stage : {"stream", "replay", "collect"})
         EXPECT_GT(stageCount(after, stage), stageCount(before, stage))
             << stage;
+    // Cold: the own stream plus one per other benchmark, and one
+    // collect per benchmark (the own one from the own stream).
+    EXPECT_EQ(stageCount(after, "stream") - stageCount(before, "stream"), 5u);
+    EXPECT_EQ(stageCount(after, "collect") - stageCount(before, "collect"),
+              5u);
     // Every flow-designed estimator is replayed from the suffix table;
     // a fall-back to stepping would keep the results but lose the gain.
     EXPECT_EQ(fsmReplays("table") - table, 35u);
     EXPECT_EQ(fsmReplays("step") - step, 0u);
+
+    // Warm: only the own stream the replays need, and no collect.
+    runFigure2("gcc", options);
+    const obs::MetricsSnapshot warm = obs::globalMetrics().snapshot();
+    EXPECT_EQ(stageCount(warm, "stream") - stageCount(after, "stream"), 1u);
+    EXPECT_EQ(stageCount(warm, "collect"), stageCount(after, "collect"));
 }
 
 #endif // AUTOFSM_NO_TELEMETRY
+
+// --- Figure 2's leave-one-out model memo ---------------------------------
+
+/** Small Figure 2 runs: three orders, three thresholds. */
+Fig2Options
+memoTestOptions()
+{
+    Fig2Options options;
+    options.loadsPerBenchmark = 6000;
+    options.histories = {2, 4, 8};
+    options.thresholds = {0.6, 0.8, 0.95};
+    return options;
+}
+
+/**
+ * Leave-one-out training as it was before the memo: every call rebuilds
+ * each other benchmark's trace and stream and collects them, in suite
+ * order, into one accumulated model per order.
+ */
+std::vector<MarkovModel>
+referenceCrossTraining(const std::string &benchmark, size_t loads,
+                       const StrideConfig &stride,
+                       const std::vector<int> &orders)
+{
+    std::vector<MarkovModel> models;
+    for (int order : orders)
+        models.emplace_back(order);
+    std::vector<MarkovModel *> pointers;
+    for (MarkovModel &model : models)
+        pointers.push_back(&model);
+    for (const std::string &other : valueBenchmarkNames()) {
+        if (other != benchmark) {
+            collectConfidenceModels(
+                buildCorrectnessStream(makeValueTrace(other, loads), stride),
+                pointers);
+        }
+    }
+    return models;
+}
+
+std::string
+thresholdLabel(double threshold)
+{
+    std::ostringstream out;
+    out.precision(1);
+    out << std::fixed << "thr=" << threshold * 100.0 << "%";
+    return out.str();
+}
+
+/**
+ * runFigure2 as it was before the memo, over referenceCrossTraining.
+ * The design memo is cleared first, so every machine is designed from
+ * the accumulated model rather than looked up.
+ */
+Fig2Benchmark
+referenceFigure2(const std::string &benchmark, const Fig2Options &options)
+{
+    clearDesignMemo();
+    const CorrectnessStream own = buildCorrectnessStream(
+        makeValueTrace(benchmark, options.loadsPerBenchmark),
+        options.stride);
+    Fig2Benchmark result;
+    result.name = benchmark;
+    const std::vector<SudConfig> configs = figure2SudConfigs();
+    const std::vector<ConfidenceResult> sud =
+        replaySudConfidence(own, configs);
+    for (size_t i = 0; i < configs.size(); ++i) {
+        result.sudPoints.push_back({sud[i].accuracy(), sud[i].coverage(),
+                                    SudConfidence::label(configs[i])});
+    }
+
+    const std::vector<MarkovModel> models =
+        referenceCrossTraining(benchmark, options.loadsPerBenchmark,
+                               options.stride, options.histories);
+    for (size_t i = 0; i < models.size(); ++i) {
+        ParetoSeries series;
+        series.label =
+            "custom w/ hist=" + std::to_string(options.histories[i]);
+        for (double threshold : options.thresholds) {
+            DesignRequest request;
+            request.model = models[i];
+            request.options.order = options.histories[i];
+            request.options.patterns.threshold = threshold;
+            request.options.patterns.dontCareMass = 0.01;
+            const FlowResult design = runDesignRequest(request);
+            const ConfidenceResult r =
+                replayFsmConfidence(own, {{&design.design.fsm}})[0];
+            series.points.push_back(
+                {r.accuracy(), r.coverage(), thresholdLabel(threshold)});
+        }
+        result.fsmCurves.push_back(std::move(series));
+    }
+    return result;
+}
+
+void
+expectSamePoints(const std::vector<ParetoPoint> &got,
+                 const std::vector<ParetoPoint> &want,
+                 const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].label, want[i].label) << what << " " << i;
+        EXPECT_EQ(got[i].accuracy, want[i].accuracy)
+            << what << " " << want[i].label;
+        EXPECT_EQ(got[i].coverage, want[i].coverage)
+            << what << " " << want[i].label;
+    }
+}
+
+void
+expectSameFigure2(const Fig2Benchmark &got, const Fig2Benchmark &want,
+                  const std::string &what)
+{
+    EXPECT_EQ(got.name, want.name) << what;
+    expectSamePoints(got.sudPoints, want.sudPoints, what + " sud");
+    ASSERT_EQ(got.fsmCurves.size(), want.fsmCurves.size()) << what;
+    for (size_t i = 0; i < got.fsmCurves.size(); ++i) {
+        EXPECT_EQ(got.fsmCurves[i].label, want.fsmCurves[i].label) << what;
+        expectSamePoints(got.fsmCurves[i].points, want.fsmCurves[i].points,
+                         what + " " + want.fsmCurves[i].label);
+    }
+}
+
+/** Same order, totals and per-history counts. */
+bool
+sameModel(const MarkovModel &a, const MarkovModel &b)
+{
+    if (a.order() != b.order() ||
+        a.totalObservations() != b.totalObservations() ||
+        a.distinctHistories() != b.distinctHistories()) {
+        return false;
+    }
+    for (const auto &[history, counts] : a.table()) {
+        const HistoryCounts other = b.counts(history);
+        if (counts.ones != other.ones || counts.total != other.total)
+            return false;
+    }
+    return true;
+}
+
+bool
+sameModels(const std::vector<MarkovModel> &a,
+           const std::vector<MarkovModel> &b)
+{
+    return a.size() == b.size() &&
+        std::equal(a.begin(), a.end(), b.begin(), sameModel);
+}
+
+TEST(Figure2MemoTest, SuiteMatchesPerCallRebuild)
+{
+    // Forward and reverse suite order, each from a cold memo: the first
+    // call fills every benchmark's entry (its own from its own stream),
+    // later calls only merge.
+    const Fig2Options options = memoTestOptions();
+    std::map<std::string, Fig2Benchmark> oracle;
+    for (const std::string &name : valueBenchmarkNames())
+        oracle[name] = referenceFigure2(name, options);
+    for (bool reverse : {false, true}) {
+        std::vector<std::string> names = valueBenchmarkNames();
+        if (reverse)
+            std::reverse(names.begin(), names.end());
+        clearBranchTraceCache();
+        for (const std::string &name : names) {
+            expectSameFigure2(runFigure2(name, options), oracle[name],
+                              name + (reverse ? " (reverse)" : ""));
+        }
+    }
+}
+
+TEST(Figure2MemoTest, KeyCoversEveryStrideFieldAndTheLoadCount)
+{
+    // Warm the memo, then change one key field per step: each step is a
+    // new key (all five benchmarks collected again) and matches its own
+    // per-call oracle. The suite's load sites sit 16 bytes apart, so
+    // they only share a table entry in a tiny table, and two of them
+    // never agree in the low 8 tag bits: 8 and 16 tag bits train the
+    // same models, which only the collect count can tell apart.
+    struct Step
+    {
+        std::string what;
+        StrideConfig stride;
+        size_t loads;
+        bool changesTraining;
+    };
+    const std::vector<Step> steps = {
+        {"default geometry", StrideConfig{2048, 16}, 6000, true},
+        {"tagBits=8", StrideConfig{2048, 8}, 6000, false},
+        {"entries=1", StrideConfig{1, 8}, 6000, true},
+        {"tagBits=0", StrideConfig{1, 0}, 6000, true},
+        {"loads=4000", StrideConfig{1, 0}, 4000, true},
+    };
+    clearBranchTraceCache();
+    std::vector<MarkovModel> previous;
+    for (const Step &step : steps) {
+        Fig2Options options = memoTestOptions();
+        options.stride = step.stride;
+        options.loadsPerBenchmark = step.loads;
+#ifndef AUTOFSM_NO_TELEMETRY
+        const uint64_t collects =
+            stageCount(obs::globalMetrics().snapshot(), "collect");
+#endif
+        const Fig2Benchmark result = runFigure2("gcc", options);
+#ifndef AUTOFSM_NO_TELEMETRY
+        EXPECT_EQ(stageCount(obs::globalMetrics().snapshot(), "collect") -
+                      collects,
+                  5u)
+            << step.what;
+#endif
+        expectSameFigure2(result, referenceFigure2("gcc", options),
+                          step.what);
+        const std::vector<MarkovModel> models = leaveOneOutConfidenceModels(
+            "gcc", step.loads, step.stride, options.histories);
+        EXPECT_TRUE(sameModels(
+            models, referenceCrossTraining("gcc", step.loads, step.stride,
+                                           options.histories)))
+            << step.what;
+        if (!previous.empty()) {
+            EXPECT_NE(sameModels(models, previous), step.changesTraining)
+                << step.what;
+        }
+        previous = models;
+    }
+}
+
+TEST(Figure2MemoTest, HelperSumsTheOtherBenchmarks)
+{
+    // Orders in any sequence, repeated, and with or without the own
+    // stream: each result is the accumulated model of its order.
+    const size_t loads = 3000;
+    const StrideConfig stride;
+    const std::vector<int> orders = {6, 1, 6, 24, 3};
+    clearBranchTraceCache();
+    const CorrectnessStream own =
+        buildCorrectnessStream(makeValueTrace("li", loads), stride);
+    for (const char *name : {"li", "perl", "li"}) {
+        const std::vector<MarkovModel> models = leaveOneOutConfidenceModels(
+            name, loads, stride, orders, std::string(name) == "li" ? &own : nullptr);
+        EXPECT_TRUE(sameModels(
+            models, referenceCrossTraining(name, loads, stride, orders)))
+            << name;
+    }
+    EXPECT_TRUE(
+        leaveOneOutConfidenceModels("gcc", loads, stride, {}).empty());
+}
+
+TEST(Figure2MemoTest, FailuresAreRejectedAndNeverCached)
+{
+    const size_t loads = 2000;
+    const StrideConfig stride;
+    clearBranchTraceCache();
+    EXPECT_THROW(leaveOneOutConfidenceModels("nosuch", loads, stride, {4}),
+                 std::invalid_argument);
+    EXPECT_THROW(runFigure2("nosuch", memoTestOptions()),
+                 std::invalid_argument);
+    for (int order : {0, -3, 25}) {
+        EXPECT_THROW(
+            leaveOneOutConfidenceModels("gcc", loads, stride, {4, order}),
+            std::invalid_argument)
+            << order;
+    }
+    for (const StrideConfig &bad :
+         {StrideConfig{0, 16}, StrideConfig{3, 16}, StrideConfig{2048, -1},
+          StrideConfig{2048, 33}}) {
+        for (int attempt = 0; attempt < 2; ++attempt) {
+            EXPECT_THROW(
+                leaveOneOutConfidenceModels("gcc", loads, bad, {4}),
+                std::invalid_argument)
+                << bad.entries << "/" << bad.tagBits;
+        }
+    }
+    // The rejected calls left nothing behind that a valid one could hit.
+    EXPECT_TRUE(sameModels(
+        leaveOneOutConfidenceModels("gcc", loads, stride, {4, 8}),
+        referenceCrossTraining("gcc", loads, stride, {4, 8})));
+}
+
+TEST(Figure2MemoTest, ClearingTheTraceCacheEmptiesTheMemo)
+{
+    const uint64_t generation = workloadTraceGeneration();
+    clearBranchTraceCache();
+    EXPECT_EQ(workloadTraceGeneration(), generation + 1);
+#ifndef AUTOFSM_NO_TELEMETRY
+    // Streams built and collects run so far.
+    const auto work = [] {
+        const obs::MetricsSnapshot snapshot = obs::globalMetrics().snapshot();
+        return std::make_pair(stageCount(snapshot, "stream"),
+                              stageCount(snapshot, "collect"));
+    };
+    const auto train = [] {
+        leaveOneOutConfidenceModels("go", 3000, StrideConfig{}, {3, 7});
+    };
+    const auto start = work();
+    train();
+    const auto cold = work();
+    EXPECT_EQ(cold.first - start.first, 4u);
+    EXPECT_EQ(cold.second - start.second, 4u);
+    train();
+    EXPECT_EQ(work(), cold);
+    clearBranchTraceCache();
+    train();
+    const auto again = work();
+    EXPECT_EQ(again.first - cold.first, 4u);
+    EXPECT_EQ(again.second - cold.second, 4u);
+#endif
+}
+
+TEST(Figure2MemoTest, ConcurrentCallersShareOneBuild)
+{
+    const size_t loads = 4000;
+    const StrideConfig stride;
+    const std::vector<int> orders = {2, 5, 10};
+    clearBranchTraceCache();
+#ifndef AUTOFSM_NO_TELEMETRY
+    const uint64_t collects =
+        stageCount(obs::globalMetrics().snapshot(), "collect");
+#endif
+    // Two callers of one key and a third whose training set overlaps it.
+    std::vector<MarkovModel> first, second, third;
+    std::thread a([&] {
+        first = leaveOneOutConfidenceModels("gcc", loads, stride, orders);
+    });
+    std::thread b([&] {
+        second = leaveOneOutConfidenceModels("gcc", loads, stride, orders);
+    });
+    std::thread c([&] {
+        third = leaveOneOutConfidenceModels("groff", loads, stride, orders);
+    });
+    a.join();
+    b.join();
+    c.join();
+#ifndef AUTOFSM_NO_TELEMETRY
+    // One collect per benchmark in the union of the training sets.
+    EXPECT_EQ(stageCount(obs::globalMetrics().snapshot(), "collect") -
+                  collects,
+              5u);
+#endif
+    EXPECT_TRUE(sameModels(first, second));
+    EXPECT_TRUE(sameModels(
+        first, referenceCrossTraining("gcc", loads, stride, orders)));
+    EXPECT_TRUE(sameModels(
+        third, referenceCrossTraining("groff", loads, stride, orders)));
+}
 
 } // anonymous namespace
 } // namespace autofsm
