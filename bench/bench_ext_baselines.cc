@@ -16,12 +16,13 @@
 #include <iostream>
 #include <map>
 
+#include "bpred/btb.hh"
 #include "bpred/custom.hh"
 #include "bpred/loop_predictor.hh"
 #include "bpred/ppm.hh"
 #include "bpred/simulate.hh"
 #include "bpred/trainer.hh"
-#include "sim/nested_sweep.hh"
+#include "sim/sweep.hh"
 #include "support/sud_counter.hh"
 #include "workloads/trace_cache.hh"
 
@@ -129,14 +130,13 @@ ppmSection(size_t branches)
         const PackedTrace &train = *train_trace;
         const PackedTrace &test = *test_trace;
 
-        // The XScale column is a single-config BTB sweep point; the
-        // nested engine runs it through XScaleBtb's fused step.
-        NestedSweepRequest btb_request;
-        btb_request.btb.push_back(BtbConfig{});
-        const double base =
-            nestedSweep(btb_request, test)
-                .btb[0]
-                .result.missRate();
+        // The XScale column is a single-config BTB sweep point, run
+        // through XScaleBtb's fused step.
+        XScaleBtb btb{BtbConfig{}};
+        const BpredSimResult btb_run = sweepKernelRaw(btb, test);
+        publishBpredRun(btb.name(), btb_run);
+        publishBtbMetrics(btb.name(), btb.lookups(), btb.hits());
+        const double base = btb_run.missRate();
 
         PpmPredictor ppm;
         const double ppm_rate =

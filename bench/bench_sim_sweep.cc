@@ -6,8 +6,9 @@
  * custom curve, traces rebuilt per run as the seed did. Both paths use
  * the same packed predictor classes; the serial side reaches them
  * through virtual predict/update, record by record, so the speedup
- * measures the engine's loop structure (fused steps, nested sweep,
- * transposed replay), not a change of predictor or trace layout.
+ * measures the engine's loop structure (fused steps, one pool task per
+ * sweep point, transposed replay), not a change of predictor or trace
+ * layout.
  * Both paths share one untimed training pass; the engine path draws
  * its traces from the process-wide cache. Results must be
  * bit-identical or the bench aborts.

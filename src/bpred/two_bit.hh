@@ -1,8 +1,7 @@
 /**
  * @file
  * Byte-form 2-bit saturating counter arithmetic shared by the
- * table-driven branch predictors (XScaleBtb, Gshare, LocalGlobalChooser)
- * and the nested sweep engine's gshare planes.
+ * table-driven branch predictors (XScaleBtb, Gshare, LocalGlobalChooser).
  *
  * A counter is a 0..3 value in (part of) a byte, starting weakly
  * not-taken (1); it predicts taken at >= 2. The semantics are those of

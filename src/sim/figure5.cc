@@ -4,7 +4,8 @@
 #include <memory>
 
 #include "bpred/custom.hh"
-#include "sim/nested_sweep.hh"
+#include "bpred/gshare.hh"
+#include "bpred/local_global.hh"
 #include "sim/sweep.hh"
 #include "support/thread_pool.hh"
 #include "synth/area.hh"
@@ -15,6 +16,20 @@ namespace autofsm
 
 namespace
 {
+
+/**
+ * Evaluate one sweep point: replay @p trace through @p predictor's
+ * fused step, publish the run and time it as one sweep point.
+ */
+template <class P>
+AreaMissPoint
+sweepPoint(P &predictor, const PackedTrace &trace)
+{
+    SweepPointTimer timer;
+    const BpredSimResult run = sweepKernelRaw(predictor, trace);
+    publishBpredRun(predictor.name(), run);
+    return {predictor.area(), run.missRate(), predictor.name()};
+}
 
 /**
  * Assemble a custom curve from one transposed replay's counts. Custom
@@ -113,34 +128,24 @@ evaluateFigure5(const std::string &benchmark, const PackedTrace &train,
                          diff_counts.btbName};
     }
 
-    {
-        // One fused engine pass services every gshare and LGC sweep
-        // point (sim/nested_sweep.hh): the gshare sizes share a single
-        // nested index stream, the LGC points run as branchless side
-        // tasks, and residue-class sharding spreads the counter work
-        // across sweep_threads - serial (sweep_threads == 1) and
-        // parallel runs produce bit-identical tallies.
-        NestedSweepRequest request;
-        request.gshare.reserve(num_gshare);
-        for (size_t i = 0; i < num_gshare; ++i)
-            request.gshare.push_back(gshare_config(i));
-        request.lgc.reserve(num_lgc);
-        for (size_t i = 0; i < num_lgc; ++i)
-            request.lgc.push_back(lgc_config(i));
-        NestedSweepOptions sweep_options;
-        sweep_options.threads = sweep_threads;
-        sweep_options.shards = options.replayShards;
-        const NestedSweepResult swept =
-            nestedSweep(request, test, costs, sweep_options);
-        for (size_t i = 0; i < num_gshare; ++i)
-            result.gshare.points[i] = {swept.gshare[i].area,
-                                       swept.gshare[i].result.missRate(),
-                                       swept.gshare[i].name};
-        for (size_t i = 0; i < num_lgc; ++i)
-            result.lgc.points[i] = {swept.lgc[i].area,
-                                    swept.lgc[i].result.missRate(),
-                                    swept.lgc[i].name};
-    }
+    // One shared-pool task per gshare and LGC sweep point. The points
+    // share nothing but the read-only test trace and each writes its
+    // own slot, so serial (sweep_threads == 1) and parallel runs give
+    // bit-identical curves.
+    parallelFor(
+        num_gshare + num_lgc,
+        [&](size_t i) {
+            if (i < num_gshare) {
+                Gshare predictor(gshare_config(i), costs);
+                result.gshare.points[i] = sweepPoint(predictor, test);
+            } else {
+                LocalGlobalChooser predictor(lgc_config(i - num_gshare),
+                                             costs);
+                result.lgc.points[i - num_gshare] =
+                    sweepPoint(predictor, test);
+            }
+        },
+        sweep_threads);
 
     // Custom curves: machines were trained on the Train input only. The
     // training pass already simulated the baseline over the train trace

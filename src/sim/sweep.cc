@@ -10,50 +10,20 @@ namespace autofsm
 namespace
 {
 
-constexpr const char *kSweepPointHelp =
-    "Kernel time of one sweep point (one batched replay or one fused "
-    "nested-index pass), by engine.";
-
 obs::Histogram &
-sweepPointHistogram(SweepEngine engine)
+sweepPointHistogram()
 {
-    static obs::Histogram batch = obs::globalMetrics().histogram(
-        "autofsm_sweep_point_millis", kSweepPointHelp,
-        obs::defaultLatencyBucketsMillis(), {{"engine", "batch"}});
-    static obs::Histogram nested = obs::globalMetrics().histogram(
-        "autofsm_sweep_point_millis", kSweepPointHelp,
-        obs::defaultLatencyBucketsMillis(), {{"engine", "nested"}});
-    return engine == SweepEngine::Nested ? nested : batch;
-}
-
-obs::Gauge &
-sweepPointsPerPassGauge()
-{
-    static obs::Gauge gauge = obs::globalMetrics().gauge(
-        "autofsm_sweep_points_per_pass",
-        "Sweep points serviced by the most recent fused sweep pass.");
-    return gauge;
+    static obs::Histogram histogram = obs::globalMetrics().histogram(
+        "autofsm_sweep_point_millis",
+        "Kernel time of one sweep point (one predictor's replay, the "
+        "baseline BTB chain or one batched custom-machine replay).",
+        obs::defaultLatencyBucketsMillis());
+    return histogram;
 }
 
 } // anonymous namespace
 
-void
-observeSweepPointMillis(double millis, SweepEngine engine)
-{
-    if (!obs::globalMetrics().enabled())
-        return;
-    sweepPointHistogram(engine).observe(millis);
-}
-
-void
-observeSweepPointsPerPass(size_t points)
-{
-    if (!obs::globalMetrics().enabled())
-        return;
-    sweepPointsPerPassGauge().set(static_cast<double>(points));
-}
-
-SweepPointTimer::SweepPointTimer(SweepEngine engine) : engine_(engine)
+SweepPointTimer::SweepPointTimer()
 {
     if (obs::globalMetrics().enabled()) {
         active_ = true;
@@ -65,11 +35,10 @@ SweepPointTimer::~SweepPointTimer()
 {
     if (!active_)
         return;
-    observeSweepPointMillis(
+    sweepPointHistogram().observe(
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start_)
-            .count(),
-        engine_);
+            .count());
 }
 
 CustomReplayCounts
@@ -117,7 +86,7 @@ replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
     const uint64_t *pcs = trace.pcs().data();
     const uint64_t *words = trace.takenWords().data();
     {
-        SweepPointTimer timer(SweepEngine::Batch);
+        SweepPointTimer timer;
         for (size_t i = 0; i < n; ++i) {
             const bool taken = (words[i >> 6] >> (i & 63)) & 1ULL;
             if (i + detail::kPrefetchDistance < n)
@@ -140,7 +109,7 @@ replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
     counts.btbHits = btb.hits();
 
     {
-        SweepPointTimer timer(SweepEngine::Batch);
+        SweepPointTimer timer;
         std::vector<BitslicedMachine> sliced(k);
         for (size_t m = 0; m < k; ++m)
             sliced[m] = BitslicedMachine{machines[m].fsm, &positions[m]};
@@ -179,7 +148,7 @@ replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
     const uint64_t *words = trace.takenWords().data();
     static const std::vector<uint32_t> no_positions;
     {
-        SweepPointTimer timer(SweepEngine::Batch);
+        SweepPointTimer timer;
         std::vector<BitslicedMachine> sliced(k);
         for (size_t m = 0; m < k; ++m) {
             // An absent positions list means "this machine never

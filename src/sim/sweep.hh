@@ -10,9 +10,8 @@
  *    drives a concrete predictor (XScaleBtb, Gshare, LocalGlobalChooser)
  *    through its header-inline fused `step(pc, taken)`. The classes are
  *    `final`, so the step binds statically and inlines; it makes the
- *    same decisions as the virtual predict/update pair.
- *  - `sweepKernelBatch<P>`: every predictor of one *kind* live in a
- *    single trace pass (one trace read for a whole size sweep).
+ *    same decisions as the virtual predict/update pair. Figure 5 runs
+ *    each gshare and LGC sweep point as its own shared-pool task.
  *  - `replayCustomMachines`: the transposed custom-curve evaluation -
  *    instead of stepping every trained FSM on every record, machines are
  *    compiled into lane groups and replayed together over the packed
@@ -63,33 +62,13 @@ inline constexpr size_t kPrefetchDistance = 16;
 } // namespace detail
 
 /**
- * Which replay engine serviced a timed sweep point; becomes the
- * `engine` label on autofsm_sweep_point_millis so the obs layer can
- * attribute sweep time per path.
- */
-enum class SweepEngine
-{
-    Batch,  ///< custom-machine replays and their baseline BTB chain
-    Nested, ///< the nested-index engine (sim/nested_sweep.hh)
-};
-
-/** Record one finished sweep point in autofsm_sweep_point_millis. */
-void observeSweepPointMillis(double millis, SweepEngine engine);
-
-/**
- * Record in the autofsm_sweep_points_per_pass gauge how many sweep
- * points the most recent fused pass serviced.
- */
-void observeSweepPointsPerPass(size_t points);
-
-/**
  * RAII timer feeding the per-sweep-point kernel-time histogram. Inert
  * when telemetry is disabled or compiled out.
  */
 class SweepPointTimer
 {
   public:
-    explicit SweepPointTimer(SweepEngine engine);
+    SweepPointTimer();
     ~SweepPointTimer();
 
     SweepPointTimer(const SweepPointTimer &) = delete;
@@ -97,7 +76,6 @@ class SweepPointTimer
 
   private:
     std::chrono::steady_clock::time_point start_;
-    SweepEngine engine_;
     bool active_ = false;
 };
 
@@ -126,44 +104,6 @@ sweepKernelRaw(P &predictor, const PackedTrace &trace)
     }
     result.mispredicts = mispredicts;
     return result;
-}
-
-/**
- * Evaluate every predictor of one kind in a single trace pass: the
- * trace is read once while all sweep points step side by side. Each
- * predictor sees exactly the decision sequence it would see alone
- * (they share nothing), so results match per-point sweepKernelRaw runs
- * bit for bit. Publishes each point's run telemetry.
- */
-template <class P>
-std::vector<BpredSimResult>
-sweepKernelBatch(std::vector<P> &predictors, const PackedTrace &trace)
-{
-    const size_t n = trace.size();
-    const size_t k = predictors.size();
-    std::vector<BpredSimResult> results(k);
-    for (auto &result : results)
-        result.branches = n;
-    const uint64_t *pcs = trace.pcs().data();
-    const uint64_t *words = trace.takenWords().data();
-    for (size_t i = 0; i < n; ++i) {
-        const bool taken = (words[i >> 6] >> (i & 63)) & 1ULL;
-        const uint64_t pc = pcs[i];
-        if constexpr (detail::HasPrefetch<P>::value) {
-            if (i + detail::kPrefetchDistance < n) {
-                const uint64_t ahead = pcs[i + detail::kPrefetchDistance];
-                for (size_t j = 0; j < k; ++j)
-                    predictors[j].prefetch(ahead);
-            }
-        }
-        for (size_t j = 0; j < k; ++j)
-            results[j].mispredicts +=
-                static_cast<uint64_t>(predictors[j].step(pc, taken));
-    }
-    for (size_t j = 0; j < k; ++j)
-        publishBpredRun(predictors[j].name(), results[j]);
-    observeSweepPointsPerPass(k);
-    return results;
 }
 
 /** One trained machine to replay: its branch and its final FSM. */

@@ -141,6 +141,31 @@ struct SudLanes
     alignas(64) uint8_t enabled[kSudLanes] = {};
 };
 
+/**
+ * Reject a stream the engines cannot index safely: an entry outside
+ * the bank, or fewer outcome words than size() needs. One pass over
+ * the entries, before any per-entry row is sized.
+ */
+void
+checkStream(const CorrectnessStream &stream, const char *caller)
+{
+    if (stream.correctWords.size() < (stream.size() + 63) / 64) {
+        throw std::invalid_argument(
+            std::string(caller) + ": stream of " +
+            std::to_string(stream.size()) + " loads has only " +
+            std::to_string(stream.correctWords.size()) + " outcome words");
+    }
+    uint32_t max_entry = 0;
+    for (const uint32_t entry : stream.entry)
+        max_entry = std::max(max_entry, entry);
+    if (!stream.entry.empty() && max_entry >= stream.entries) {
+        throw std::invalid_argument(
+            std::string(caller) + ": entry " + std::to_string(max_entry) +
+            " outside a bank of " + std::to_string(stream.entries) +
+            " entries");
+    }
+}
+
 void
 checkSudConfig(const SudConfig &config)
 {
@@ -512,6 +537,7 @@ std::vector<ConfidenceResult>
 replaySudConfidence(const CorrectnessStream &stream,
                     const std::vector<SudConfig> &configs)
 {
+    checkStream(stream, "replaySudConfidence");
     for (const SudConfig &config : configs)
         checkSudConfig(config);
 
@@ -540,6 +566,7 @@ std::vector<ConfidenceResult>
 replayFsmConfidence(const CorrectnessStream &stream,
                     const std::vector<FsmEstimator> &estimators)
 {
+    checkStream(stream, "replayFsmConfidence");
     std::vector<CompactFsm> machines;
     machines.reserve(estimators.size());
     for (const FsmEstimator &estimator : estimators)
@@ -579,6 +606,7 @@ void
 collectConfidenceModels(const CorrectnessStream &stream,
                         std::vector<MarkovModel *> models)
 {
+    checkStream(stream, "collectConfidenceModels");
     for (const MarkovModel *model : models) {
         if (model == nullptr) {
             throw std::invalid_argument(

@@ -125,7 +125,9 @@ void collectConfidenceModels(const ValueTrace &trace,
 /**
  * One predictor pass recorded for replay, structure of arrays: per load
  * (or branch), the table entry whose estimator is consulted and whether
- * the prediction was correct.
+ * the prediction was correct. The replay and training engines below
+ * throw std::invalid_argument for a malformed stream: an entry at or
+ * above `entries`, or fewer than ceil(size() / 64) outcome words.
  */
 struct CorrectnessStream
 {
@@ -164,8 +166,9 @@ CorrectnessStream buildCorrectnessStream(const ValueTrace &trace,
  * Measure every configuration in @p configs over @p stream in one
  * replay; result i equals simulateConfidence with a fresh
  * SudConfidence(stream.entries, configs[i]). Throws
- * std::invalid_argument for a configuration the byte counters cannot
- * represent (max outside [1, 255]) or SudCounter rejects.
+ * std::invalid_argument for a malformed stream or for a configuration
+ * the byte counters cannot represent (max outside [1, 255]) or
+ * SudCounter rejects.
  */
 std::vector<ConfidenceResult>
 replaySudConfidence(const CorrectnessStream &stream,
@@ -182,8 +185,8 @@ struct FsmEstimator
  * Measure every estimator in @p estimators over @p stream; result i
  * equals simulateConfidence with a fresh FsmConfidence(stream.entries,
  * *estimators[i].fsm, estimators[i].label). Throws
- * std::invalid_argument for a null machine, one with more than 65535
- * states or one with an undefined transition.
+ * std::invalid_argument for a malformed stream, a null machine, one
+ * with more than 65535 states or one with an undefined transition.
  *
  * A machine that is d-definite (after any d inputs its state depends
  * only on those inputs, as for every flow-designed estimator of order
@@ -201,7 +204,8 @@ replayFsmConfidence(const CorrectnessStream &stream,
  * in @p models (each may have a different order). Entries keep
  * independent history registers, exactly mirroring how the per-entry
  * FSM estimators see the world at runtime. An empty @p models is a
- * no-op; a null entry throws std::invalid_argument.
+ * no-op; a malformed stream or a null entry throws
+ * std::invalid_argument.
  */
 void collectConfidenceModels(const CorrectnessStream &stream,
                              std::vector<MarkovModel *> models);

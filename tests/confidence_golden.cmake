@@ -12,19 +12,7 @@
 #         -DGOLDEN_DIR=<tests/golden> -DOUT_DIR=<output dir>
 #         -P confidence_golden.cmake
 
-function(expect_golden golden program)
-    list(JOIN ARGN " " args)
-    execute_process(COMMAND "${program}" ${ARGN}
-                    OUTPUT_VARIABLE got RESULT_VARIABLE rc)
-    file(READ "${GOLDEN_DIR}/${golden}" want)
-    if(NOT rc EQUAL 0)
-        message(SEND_ERROR "${program} ${args}: exit ${rc}, expected 0")
-    elseif(NOT "${got}" STREQUAL "${want}")
-        file(WRITE "${OUT_DIR}/${golden}" "${got}")
-        message(SEND_ERROR "${program} ${args}: stdout differs from "
-                "${GOLDEN_DIR}/${golden}; got ${OUT_DIR}/${golden}")
-    endif()
-endfunction()
+include("${CMAKE_CURRENT_LIST_DIR}/golden.cmake")
 
 function(expect_usage_error what)
     execute_process(COMMAND "${CONFIDENCE_ESTIMATION}" ${ARGN}

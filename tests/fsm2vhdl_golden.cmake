@@ -5,19 +5,7 @@
 #   cmake -DFSM2VHDL=<path to fsm2vhdl> -DGOLDEN_DIR=<tests/golden>
 #         -DOUT_DIR=<output dir> -P fsm2vhdl_golden.cmake
 
-function(expect_golden golden)
-    list(JOIN ARGN " " args)
-    execute_process(COMMAND "${FSM2VHDL}" ${ARGN}
-                    OUTPUT_VARIABLE got RESULT_VARIABLE rc)
-    file(READ "${GOLDEN_DIR}/${golden}" want)
-    if(NOT rc EQUAL 0)
-        message(SEND_ERROR "fsm2vhdl ${args}: exit ${rc}, expected 0")
-    elseif(NOT "${got}" STREQUAL "${want}")
-        file(WRITE "${OUT_DIR}/${golden}" "${got}")
-        message(SEND_ERROR "fsm2vhdl ${args}: stdout differs from "
-                "${GOLDEN_DIR}/${golden}; got ${OUT_DIR}/${golden}")
-    endif()
-endfunction()
+include("${CMAKE_CURRENT_LIST_DIR}/golden.cmake")
 
 function(expect_exit_1 what rc)
     if(NOT rc EQUAL 1)
@@ -31,10 +19,10 @@ function(expect_usage_error what)
     expect_exit_1("${what}" "${rc}")
 endfunction()
 
-expect_golden(fsm2vhdl_vhdl.txt 0x1x 01xx)
-expect_golden(fsm2vhdl_verilog.txt --verilog 0x1x 01xx)
+expect_golden(fsm2vhdl_vhdl.txt "${FSM2VHDL}" 0x1x 01xx)
+expect_golden(fsm2vhdl_verilog.txt "${FSM2VHDL}" --verilog 0x1x 01xx)
 # Four patterns minimize to four cubes: nested alternation braces.
-expect_golden(fsm2vhdl_nested.txt 1xx0 x1x1 xx11 0000)
+expect_golden(fsm2vhdl_nested.txt "${FSM2VHDL}" 1xx0 x1x1 xx11 0000)
 
 expect_usage_error("no arguments")
 expect_usage_error("mismatched lengths" 01 011)

@@ -4,8 +4,8 @@
  * predictor classes match the plain reference predictors
  * (reference_predictors.hh) through both their virtual and fused
  * interfaces, the transposed custom replay matches per-record machine
- * stepping, parallel sweeps match serial ones, every exported sweep
- * timing cell is exercised, and the process-wide trace cache is safe
+ * stepping, parallel sweeps match serial ones, every Figure-5 sweep
+ * point is timed, and the process-wide trace cache is safe
  * under concurrent access and honours its LRU cap.
  */
 
@@ -27,7 +27,6 @@
 #include "fsmgen/predictor_fsm.hh"
 #include "obs/metrics.hh"
 #include "sim/figure5.hh"
-#include "sim/nested_sweep.hh"
 #include "sim/sweep.hh"
 #include "support/rng.hh"
 #include "trace/packed_trace.hh"
@@ -162,33 +161,6 @@ TEST(ReferencePredictorTest, LocalGlobalChooserRejectsOversizedGeometry)
     LgcConfig config;
     config.log2Entries = 17;
     EXPECT_THROW(LocalGlobalChooser{config}, std::length_error);
-}
-
-TEST(SweepKernelTest, BatchMatchesIndividualRuns)
-{
-    const PackedTrace packed =
-        makeBranchTrace("vortex", WorkloadInput::Test, kBranches);
-
-    std::vector<int> sizes = {8, 10, 12};
-    std::vector<Gshare> batch;
-    for (int log2 : sizes) {
-        GshareConfig config;
-        config.log2Entries = log2;
-        config.historyBits = log2;
-        batch.emplace_back(config);
-    }
-    const std::vector<BpredSimResult> rs = sweepKernelBatch(batch, packed);
-    ASSERT_EQ(rs.size(), sizes.size());
-
-    for (size_t i = 0; i < sizes.size(); ++i) {
-        GshareConfig config;
-        config.log2Entries = sizes[i];
-        config.historyBits = sizes[i];
-        Gshare lone(config);
-        const BpredSimResult r = sweepKernelRaw(lone, packed);
-        EXPECT_EQ(rs[i].branches, r.branches);
-        EXPECT_EQ(rs[i].mispredicts, r.mispredicts);
-    }
 }
 
 TEST(CustomReplayTest, MatchesDirectMachineStepping)
@@ -340,9 +312,9 @@ TEST(SweepParallelTest, ParallelSweepMatchesSerial)
     expectSeriesIdentical(serial.customDiff, profiled.customDiff);
 }
 
-// Each engine label on autofsm_sweep_point_millis must be one that a
-// Figure-5 pass actually times; a cell stuck at zero is a hole in the
-// per-engine attribution.
+// One Figure-5 pass times every sweep point it evaluates: each gshare
+// and LGC point, the baseline BTB chain and the two custom-machine
+// replays. A point that forgets its timer leaves the count short.
 TEST(SweepTelemetryTest, EveryExportedSweepPointCellIsObserved)
 {
 #ifdef AUTOFSM_NO_TELEMETRY
@@ -361,12 +333,11 @@ TEST(SweepTelemetryTest, EveryExportedSweepPointCellIsObserved)
         if (metric.name != "autofsm_sweep_point_millis")
             continue;
         ++cells;
-        std::string labels;
-        for (const auto &[key, value] : metric.labels)
-            labels += key + "=" + value + " ";
-        EXPECT_GT(metric.histogram.count, 0u) << labels;
+        EXPECT_TRUE(metric.labels.empty());
+        EXPECT_EQ(metric.histogram.count,
+                  options.gshareLog2.size() + options.lgcLog2.size() + 3);
     }
-    EXPECT_GT(cells, 0u);
+    EXPECT_EQ(cells, 1u);
 }
 
 TEST(TraceCacheTest, ConcurrentCallersShareOneBuild)
@@ -498,197 +469,6 @@ TEST(TraceCacheTest, LoweringTheCapEvictsImmediately)
 
     setBranchTraceCacheCapacity(previous);
     clearBranchTraceCache();
-}
-
-/** The Figure-5 sweep shape plus the XScale BTB point. */
-NestedSweepRequest
-figure5Request()
-{
-    NestedSweepRequest request;
-    for (int log2 : {8, 10, 12, 14, 16}) {
-        GshareConfig config;
-        config.log2Entries = log2;
-        config.historyBits = std::min(log2, 16);
-        request.gshare.push_back(config);
-    }
-    for (int log2 : {8, 10, 12, 13}) {
-        LgcConfig config;
-        config.log2Entries = log2;
-        request.lgc.push_back(config);
-    }
-    request.btb.push_back(BtbConfig{});
-    return request;
-}
-
-/**
- * Every nested-sweep point must match a per-config sweepKernelRaw run
- * bit for bit: mispredicts, names, areas, and BTB lookup/hit tallies.
- */
-void
-expectNestedMatchesKernels(const NestedSweepRequest &request,
-                           const PackedTrace &packed,
-                           const NestedSweepOptions &options,
-                           const std::string &context)
-{
-    const AreaCosts costs;
-    const NestedSweepResult swept =
-        nestedSweep(request, packed, costs, options);
-
-    ASSERT_EQ(swept.gshare.size(), request.gshare.size()) << context;
-    for (size_t i = 0; i < request.gshare.size(); ++i) {
-        Gshare predictor(request.gshare[i], costs);
-        const BpredSimResult oracle = sweepKernelRaw(predictor, packed);
-        EXPECT_EQ(swept.gshare[i].result.branches, oracle.branches)
-            << context << " gshare " << i;
-        EXPECT_EQ(swept.gshare[i].result.mispredicts, oracle.mispredicts)
-            << context << " gshare " << i;
-        EXPECT_EQ(swept.gshare[i].name, predictor.name());
-        EXPECT_EQ(swept.gshare[i].area, predictor.area());
-    }
-    ASSERT_EQ(swept.lgc.size(), request.lgc.size()) << context;
-    for (size_t i = 0; i < request.lgc.size(); ++i) {
-        LocalGlobalChooser predictor(request.lgc[i], costs);
-        const BpredSimResult oracle = sweepKernelRaw(predictor, packed);
-        EXPECT_EQ(swept.lgc[i].result.mispredicts, oracle.mispredicts)
-            << context << " lgc " << i;
-        EXPECT_EQ(swept.lgc[i].name, predictor.name());
-        EXPECT_EQ(swept.lgc[i].area, predictor.area());
-    }
-    ASSERT_EQ(swept.btb.size(), request.btb.size()) << context;
-    for (size_t i = 0; i < request.btb.size(); ++i) {
-        XScaleBtb predictor(request.btb[i], costs);
-        const BpredSimResult oracle = sweepKernelRaw(predictor, packed);
-        EXPECT_EQ(swept.btb[i].result.mispredicts, oracle.mispredicts)
-            << context << " btb " << i;
-        EXPECT_EQ(swept.btb[i].lookups, predictor.lookups())
-            << context << " btb " << i;
-        EXPECT_EQ(swept.btb[i].hits, predictor.hits())
-            << context << " btb " << i;
-        EXPECT_EQ(swept.btb[i].name, predictor.name());
-        EXPECT_EQ(swept.btb[i].area, predictor.area());
-    }
-}
-
-// The acceptance matrix: every Figure-5 point bit-identical to the
-// per-config kernels across shard counts (odd ones included), thread
-// counts, and both SIMD settings. The partition must be invisible.
-TEST(NestedSweepTest, MatchesPerConfigKernelsAcrossShardsAndSimd)
-{
-    const PackedTrace trace =
-        makeBranchTrace("compress", WorkloadInput::Test, kBranches);
-    const PackedTrace packed(trace);
-    const NestedSweepRequest request = figure5Request();
-
-    for (unsigned threads : {1u, 3u}) {
-        for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
-                              size_t{16}}) {
-            for (bool simd : {false, true}) {
-                NestedSweepOptions options;
-                options.threads = threads;
-                options.shards = shards;
-                options.allowSimd = simd;
-                expectNestedMatchesKernels(
-                    request, packed, options,
-                    "threads=" + std::to_string(threads) +
-                        " shards=" + std::to_string(shards) +
-                        " simd=" + std::to_string(simd));
-            }
-        }
-    }
-}
-
-// Traces shorter than any warm-up window, word-boundary straddlers,
-// and a non-power-of-two count ending mid-word: the engine recovers
-// history directly from the packed outcome words, so even n=1 must be
-// exact for every shard count.
-TEST(NestedSweepTest, ShortAndMidWordTracesStayExact)
-{
-    const NestedSweepRequest request = figure5Request();
-    for (size_t n : {size_t{1}, size_t{5}, size_t{63}, size_t{64},
-                     size_t{65}, size_t{130}, size_t{12345}}) {
-        const PackedTrace trace =
-            makeBranchTrace("gsm", WorkloadInput::Test, n);
-        const PackedTrace packed(trace);
-        for (size_t shards : {size_t{1}, size_t{3}, size_t{7},
-                              size_t{16}}) {
-            NestedSweepOptions options;
-            options.threads = 3;
-            options.shards = shards;
-            expectNestedMatchesKernels(request, packed, options,
-                                       "n=" + std::to_string(n) +
-                                           " shards=" +
-                                           std::to_string(shards));
-        }
-    }
-}
-
-// A gshare family whose effective history depths do not nest falls
-// back to the batch path - still bit-identical, just not fused.
-TEST(NestedSweepTest, NonNestingGshareFallsBackIdentically)
-{
-    const PackedTrace trace =
-        makeBranchTrace("vortex", WorkloadInput::Test, kBranches);
-    const PackedTrace packed(trace);
-
-    NestedSweepRequest request;
-    GshareConfig shallow;
-    shallow.log2Entries = 12;
-    shallow.historyBits = 4;
-    GshareConfig deep;
-    deep.log2Entries = 12;
-    deep.historyBits = 12;
-    request.gshare = {shallow, deep};
-    EXPECT_FALSE(gshareConfigsNest(request.gshare));
-
-    NestedSweepOptions options;
-    const NestedSweepResult swept =
-        nestedSweep(request, packed, AreaCosts{}, options);
-    EXPECT_FALSE(swept.stats.gshareNested);
-    expectNestedMatchesKernels(request, packed, options, "non-nesting");
-}
-
-TEST(NestedSweepTest, GshareConfigsNestPredicate)
-{
-    EXPECT_TRUE(gshareConfigsNest({}));
-
-    // The Figure-5 family nests: hb == min(log2, 16) throughout.
-    EXPECT_TRUE(gshareConfigsNest(figure5Request().gshare));
-
-    // A config whose history is capped by its own table size still
-    // nests against larger tables (min(hb, L) is what must agree).
-    GshareConfig small;
-    small.log2Entries = 8;
-    small.historyBits = 14;
-    GshareConfig large;
-    large.log2Entries = 14;
-    large.historyBits = 14;
-    EXPECT_TRUE(gshareConfigsNest({small, large}));
-
-    GshareConfig shallow;
-    shallow.log2Entries = 14;
-    shallow.historyBits = 6;
-    EXPECT_FALSE(gshareConfigsNest({shallow, large}));
-}
-
-TEST(NestedSweepTest, EmptyFamiliesAndEmptyTrace)
-{
-    const PackedTrace trace =
-        makeBranchTrace("gs", WorkloadInput::Test, kBranches);
-    const PackedTrace packed(trace);
-
-    const NestedSweepResult none =
-        nestedSweep(NestedSweepRequest{}, packed);
-    EXPECT_TRUE(none.gshare.empty());
-    EXPECT_TRUE(none.lgc.empty());
-    EXPECT_TRUE(none.btb.empty());
-    EXPECT_EQ(none.stats.pointsPerPass, 0u);
-
-    const PackedTrace empty;
-    NestedSweepOptions options;
-    options.threads = 3;
-    options.shards = 7;
-    expectNestedMatchesKernels(figure5Request(), empty, options,
-                               "empty trace");
 }
 
 } // anonymous namespace

@@ -831,6 +831,53 @@ TEST(ConfidenceEngineTest, RejectsUnrepresentableEstimators)
                  std::invalid_argument);
 }
 
+// CorrectnessStream is a public aggregate, so a hand-built one reaches
+// the engines unchecked by buildCorrectnessStream. Each entry point must
+// reject an entry outside the bank and a short outcome-word vector
+// before it indexes a per-entry row or an outcome word.
+TEST(ConfidenceEngineTest, RejectsMalformedStreams)
+{
+    CorrectnessStream bad_entry;
+    bad_entry.entries = 1;
+    bad_entry.entry = {0, 7, 0};
+    bad_entry.correctWords = {0b101};
+    bad_entry.correct = 2;
+
+    CorrectnessStream short_words;
+    short_words.entries = 2;
+    short_words.entry.assign(65, 1);
+    short_words.correctWords = {~uint64_t{0}};
+    short_words.correct = 65;
+
+    Rng rng(0xbad);
+    const Dfa constant = Dfa::constant(1);
+    const Dfa stepped = randomDfa(rng, 7);
+    MarkovModel model(4);
+    for (const CorrectnessStream *stream : {&bad_entry, &short_words}) {
+        EXPECT_THROW(replaySudConfidence(*stream, {SudConfig{}}),
+                     std::invalid_argument);
+        EXPECT_THROW(replayFsmConfidence(*stream, {{&constant}, {&stepped}}),
+                     std::invalid_argument);
+        EXPECT_THROW(collectConfidenceModels(*stream, {&model}),
+                     std::invalid_argument);
+        EXPECT_THROW(collectConfidenceModels(*stream, {}),
+                     std::invalid_argument);
+    }
+    EXPECT_EQ(model.totalObservations(), 0u);
+
+    // The boundaries themselves are well formed: the last entry of the
+    // bank, exactly ceil(size / 64) words, and the empty stream.
+    bad_entry.entry = {0, 0, 0};
+    short_words.correctWords.push_back(1);
+    CorrectnessStream empty;
+    for (const CorrectnessStream *stream : {&bad_entry, &short_words, &empty}) {
+        EXPECT_NO_THROW(replaySudConfidence(*stream, {SudConfig{}}));
+        EXPECT_NO_THROW(
+            replayFsmConfidence(*stream, {{&constant}, {&stepped}}));
+        EXPECT_NO_THROW(collectConfidenceModels(*stream, {&model}));
+    }
+}
+
 #ifndef AUTOFSM_NO_TELEMETRY
 
 uint64_t
