@@ -1,6 +1,7 @@
 #include "bpred/btb.hh"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hh"
 #include "support/bits.hh"
@@ -8,15 +9,35 @@
 namespace autofsm
 {
 
+namespace
+{
+
+/** @p config, or std::invalid_argument before the table is allocated. */
+const BtbConfig &
+checkedConfig(const BtbConfig &config)
+{
+    if (config.entries < 1 || config.entries > (1 << 24) ||
+        (config.entries & (config.entries - 1)) != 0) {
+        throw std::invalid_argument(
+            "XScaleBtb: entries " + std::to_string(config.entries) +
+            " is not a power of two in [1, 2^24]");
+    }
+    if (config.tagBits < 0) {
+        throw std::invalid_argument("XScaleBtb: negative tagBits " +
+                                    std::to_string(config.tagBits));
+    }
+    return config;
+}
+
+} // anonymous namespace
+
 XScaleBtb::XScaleBtb(const BtbConfig &config, const AreaCosts &costs)
-    : config_(config), costs_(costs),
+    : config_(checkedConfig(config)), costs_(costs),
       entries_(static_cast<size_t>(config.entries)),
       indexMask_(static_cast<uint64_t>(config.entries - 1)),
       tagShift_(2 + ceilLog2(static_cast<uint32_t>(config.entries))),
       tagMask_(lowMask(config.tagBits))
 {
-    assert(config.entries > 0 &&
-           (config.entries & (config.entries - 1)) == 0);
 }
 
 bool

@@ -1,19 +1,39 @@
 #include "bpred/gshare.hh"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace autofsm
 {
 
+namespace
+{
+
+/** @p config, or std::invalid_argument before the table is allocated. */
+const GshareConfig &
+checkedConfig(const GshareConfig &config)
+{
+    if (config.log2Entries < 1 || config.log2Entries > 24) {
+        throw std::invalid_argument(
+            "Gshare: log2Entries " + std::to_string(config.log2Entries) +
+            " outside [1, 24]");
+    }
+    if (config.historyBits < 0 || config.historyBits > config.log2Entries) {
+        throw std::invalid_argument(
+            "Gshare: historyBits " + std::to_string(config.historyBits) +
+            " outside [0, log2Entries]");
+    }
+    return config;
+}
+
+} // anonymous namespace
+
 Gshare::Gshare(const GshareConfig &config, const AreaCosts &costs)
-    : config_(config), costs_(costs),
+    : config_(checkedConfig(config)), costs_(costs),
       table_(size_t{1} << config.log2Entries, 1),
       indexMask_((uint64_t{1} << config.log2Entries) - 1),
       historyMask_((uint64_t{1} << config.historyBits) - 1)
 {
-    assert(config.log2Entries >= 1 && config.log2Entries <= 24);
-    assert(config.historyBits >= 0 &&
-           config.historyBits <= config.log2Entries);
 }
 
 bool

@@ -1,20 +1,36 @@
 #include "bpred/local_global.hh"
 
-#include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace autofsm
 {
 
-LocalGlobalChooser::LocalGlobalChooser(const LgcConfig &config,
-                                       const AreaCosts &costs)
-    : config_(config), costs_(costs),
-      mask_((uint64_t{1} << config.log2Entries) - 1)
+namespace
 {
-    assert(config.log2Entries >= 1);
+
+/** @p config, or an exception before any table is allocated. */
+const LgcConfig &
+checkedConfig(const LgcConfig &config)
+{
     if (config.log2Entries > 16)
         throw std::length_error(
             "LocalGlobalChooser supports log2Entries <= 16");
+    if (config.log2Entries < 1) {
+        throw std::invalid_argument(
+            "LocalGlobalChooser: log2Entries " +
+            std::to_string(config.log2Entries) + " below 1");
+    }
+    return config;
+}
+
+} // anonymous namespace
+
+LocalGlobalChooser::LocalGlobalChooser(const LgcConfig &config,
+                                       const AreaCosts &costs)
+    : config_(checkedConfig(config)), costs_(costs),
+      mask_((uint64_t{1} << config.log2Entries) - 1)
+{
     const size_t n = size_t{1} << config.log2Entries;
     localHistory_.assign(n, 0);
     localTable_.assign((n + 3) / 4, 0x55);

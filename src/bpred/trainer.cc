@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -111,6 +112,11 @@ collectBranchModelSweeps(const PackedTrace &trace,
 {
     if (orders.empty())
         throw std::invalid_argument("collectBranchModelSweeps: no orders");
+    if (options.maxCustomBranches < 0) {
+        throw std::invalid_argument(
+            "collectBranchModelSweeps: negative maxCustomBranches " +
+            std::to_string(options.maxCustomBranches));
+    }
     const int max_order =
         *std::max_element(orders.begin(), orders.end());
 

@@ -4,6 +4,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "obs/trace_context.hh"
+
 namespace autofsm::obs
 {
 
@@ -13,6 +15,16 @@ namespace
 std::atomic<uint64_t> next_tracer_id{1};
 
 thread_local Tracer *t_bound_tracer = nullptr;
+
+/** SpanRecord::root of span @p id opening now under @p parent. */
+uint64_t
+rootOf(uint64_t id, uint64_t parent)
+{
+    const TraceContext *context = currentTraceContext();
+    if (context != nullptr && context->rootSpan != 0)
+        return context->rootSpan;
+    return parent == 0 ? id : 0;
+}
 
 } // anonymous namespace
 
@@ -72,6 +84,7 @@ Tracer::openSpan(std::string_view name, uint64_t parent)
     span.thread = state.ordinal;
     const uint64_t id =
         nextSpanId_.fetch_add(1, std::memory_order_relaxed);
+    span.root = rootOf(id, parent);
     std::lock_guard<std::mutex> lock(mutex_);
     open_.emplace(id, std::move(span));
     return id;
@@ -101,6 +114,7 @@ Tracer::closeSpan(uint64_t id)
                                 span.start)
                                 .count();
     record.thread = span.thread;
+    record.root = span.root;
     ThreadState &state = stateForThread();
     std::lock_guard<std::mutex> lock(state.buffer->mutex);
     state.buffer->records.push_back(std::move(record));
@@ -190,6 +204,7 @@ SpanScope::start(Tracer *tracer, std::string_view name, uint64_t parent,
         ? (state.stack.empty() ? 0 : state.stack.back())
         : parent;
     id_ = tracer->nextSpanId_.fetch_add(1, std::memory_order_relaxed);
+    root_ = rootOf(id_, parent_);
     startMillis_ = tracer->millisSinceEpoch();
     state.stack.push_back(id_);
 #endif
@@ -218,6 +233,7 @@ SpanScope::finishMillis()
         record.startMillis = startMillis_;
         record.durationMillis = duration_;
         record.thread = state.ordinal;
+        record.root = root_;
         std::lock_guard<std::mutex> lock(state.buffer->mutex);
         state.buffer->records.push_back(std::move(record));
     }

@@ -19,6 +19,9 @@
  * Consumers that poll (the serve daemon's slow-request ring) use
  * `drain()`, which consumes everything recorded since the previous
  * drain instead of rescanning the full history like `snapshot()`.
+ * Each record carries the request root it belongs to (`SpanRecord::
+ * root`), so a drain that catches a request half-finished can still
+ * attribute its spans without their parents.
  *
  * Instrumentation sites reach their tracer through `currentTracer()`:
  * the process-wide `globalTracer()` unless a `TracerBinding` installed a
@@ -56,6 +59,14 @@ struct SpanRecord
     double durationMillis = 0.0;
     /** Ordinal of the recording thread within this tracer (0-based). */
     uint32_t thread = 0;
+    /**
+     * The request this span belongs to, fixed when the span opens: the
+     * root span of the TraceContext bound on the opening thread, else
+     * the span's own id when it opens a tree (parent 0), else 0. How
+     * the serve daemon partitions one tracer among concurrent requests.
+     * In-process only; the wire format does not carry it.
+     */
+    uint64_t root = 0;
 };
 
 class SpanScope;
@@ -137,6 +148,7 @@ class Tracer
         double startMillis = 0.0;
         std::chrono::steady_clock::time_point start;
         uint32_t thread = 0;
+        uint64_t root = 0;
     };
 
     /** This thread's stack+buffer for this tracer (created on demand). */
@@ -186,6 +198,7 @@ class SpanScope
     std::string name_;
     uint64_t id_ = 0;
     uint64_t parent_ = 0;
+    uint64_t root_ = 0;
     std::chrono::steady_clock::time_point start_;
     double startMillis_ = 0.0;
     bool recording_ = false;

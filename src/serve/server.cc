@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/export.hh"
@@ -11,6 +10,7 @@
 #include "obs/metrics.hh"
 #include "store/store.hh"
 #include "support/failpoint.hh"
+#include "support/thread_pool.hh"
 #include "workloads/trace_cache.hh"
 
 namespace autofsm::serve
@@ -85,12 +85,12 @@ serveTelemetry()
             }
             t.queueSeconds[c] = registry.histogram(
                 "autofsm_serve_request_queue_seconds",
-                "Time an admitted request waited for the dispatcher.",
+                "Time from admission to the start of the batch task.",
                 obs::defaultLatencyBucketsSeconds(),
                 {{"class", klass}});
             t.serviceSeconds[c] = registry.histogram(
                 "autofsm_serve_request_service_seconds",
-                "Time a request spent in its dispatch batch.",
+                "Time from the start of the batch task to the response.",
                 obs::defaultLatencyBucketsSeconds(),
                 {{"class", klass}});
         }
@@ -454,17 +454,18 @@ Server::observeRejected(RequestClass klass,
 void
 Server::dispatchLoop()
 {
+    const size_t max_in_flight =
+        options_.workers ? options_.workers : sharedPool().threadCount();
     for (;;) {
         std::vector<QueuedRequest> batch;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            dispatchWake_.wait(
-                lock, [this] { return queued_ > 0 || draining_; });
-            if (queued_ == 0) {
-                if (draining_)
-                    return; // drained: every admitted request answered
-                continue;
-            }
+            dispatchWake_.wait(lock, [&] {
+                return (queued_ > 0 && inFlight_ < max_in_flight) ||
+                    (draining_ && queued_ == 0 && inFlight_ == 0);
+            });
+            if (queued_ == 0)
+                return; // drained: every admitted request answered
             // Strict priority: interactive first, then batch, then bulk.
             for (auto &queue : queues_) {
                 while (!queue.empty() &&
@@ -477,143 +478,188 @@ Server::dispatchLoop()
                     break;
             }
             setQueueDepthGauge(queued_);
+            ++inFlight_;
         }
         serveTelemetry().dispatchBatch.observe(
             static_cast<double>(batch.size()));
-        const auto dispatch_start = std::chrono::steady_clock::now();
-
-        // Per-job dispatch failpoint: an injected fault fails that job
-        // with a structured (retryable) error instead of losing it.
-        // Failed items keep their response slot so the span/metrics
-        // accounting below covers them uniformly.
-        std::vector<DesignResponse> responses(batch.size());
-        std::vector<size_t> live;
-        std::vector<DesignRequest> requests;
-        live.reserve(batch.size());
-        requests.reserve(batch.size());
-        for (size_t i = 0; i < batch.size(); ++i) {
-            try {
-                AUTOFSM_FAILPOINT("serve.dispatch");
-            } catch (const InjectedFault &e) {
-                responses[i].id = batch[i].request.id;
-                responses[i].error = {"serve.dispatch",
-                                      errorKindName(ErrorKind::Injected),
-                                      e.what()};
-                continue;
+        {
+            // Registered before the task exists, so another batch's
+            // drain keeps these requests' spans instead of dropping them.
+            std::lock_guard<std::mutex> lock(spansMutex_);
+            for (const QueuedRequest &item : batch) {
+                if (item.request.obsContext.rootSpan != 0)
+                    spansByRoot_[item.request.obsContext.rootSpan];
             }
-            live.push_back(i);
-            requests.push_back(batch[i].request);
         }
+        sharedPool().submit([this, batch = std::move(batch)]() mutable {
+            try {
+                runBatch(std::move(batch));
+            } catch (const std::exception &e) {
+                // The in-flight count must still drop, or the drain
+                // never ends.
+                obs::logError("serve.dispatch", "batch task failed",
+                              {{"detail", e.what()}});
+            }
+            // Notify under the lock: once the dispatcher can see the
+            // count drop, shutdown may destroy this Server. A freed slot
+            // matters only with work queued or a drain waiting.
+            std::lock_guard<std::mutex> lock(mutex_);
+            --inFlight_;
+            if (queued_ > 0 || draining_)
+                dispatchWake_.notify_one();
+        });
+    }
+}
 
-        if (!requests.empty()) {
-            BatchOptions batchOptions;
-            batchOptions.retry = options_.retry;
-            batchOptions.threads = options_.workers;
-            BatchDesigner designer({}, batchOptions);
-            // Bind the daemon's tracer so the batch engine (and the
-            // design flows it fans across the pool) records here.
-            obs::TracerBinding bind(&tracer_);
+void
+Server::runBatch(std::vector<QueuedRequest> batch)
+{
+    const auto dispatch_start = std::chrono::steady_clock::now();
+
+    // Per-job dispatch failpoint: an injected fault fails that job
+    // with a structured (retryable) error instead of losing it.
+    // Failed items keep their response slot so the span/metrics
+    // accounting below covers them uniformly.
+    std::vector<DesignResponse> responses(batch.size());
+    std::vector<size_t> live;
+    std::vector<DesignRequest> requests;
+    live.reserve(batch.size());
+    requests.reserve(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+        try {
+            AUTOFSM_FAILPOINT("serve.dispatch");
+        } catch (const InjectedFault &e) {
+            responses[i].id = batch[i].request.id;
+            responses[i].error = {"serve.dispatch",
+                                  errorKindName(ErrorKind::Injected),
+                                  e.what()};
+            continue;
+        }
+        live.push_back(i);
+        requests.push_back(batch[i].request);
+    }
+
+    if (!requests.empty()) {
+        BatchOptions batchOptions;
+        batchOptions.retry = options_.retry;
+        batchOptions.threads = options_.workers;
+        BatchDesigner designer({}, batchOptions);
+        // Bind the daemon's tracer so the batch engine (and the design
+        // flows it fans across the pool) records here.
+        obs::TracerBinding bind(&tracer_);
+        try {
             const std::vector<BatchItemResult> results =
                 designer.designRequests(requests);
             for (size_t r = 0; r < results.size(); ++r) {
                 responses[live[r]] = designResponseFromItem(
                     batch[live[r]].request, results[r]);
             }
-        }
-
-        // Close every request's root span, then consume everything this
-        // batch recorded and partition it per owning request. Parents
-        // are always allocated before children, so one forward pass
-        // over the id-sorted drain resolves each span's root; spans
-        // reaching no request root (the shared batch bookkeeping,
-        // unsampled strays) are discarded here.
-        for (const QueuedRequest &item : batch)
-            tracer_.closeSpan(item.request.obsContext.rootSpan);
-        const std::vector<obs::SpanRecord> drained = tracer_.drain();
-        std::unordered_map<uint64_t, std::vector<obs::SpanRecord>> byRoot;
-        for (const QueuedRequest &item : batch) {
-            if (item.request.obsContext.rootSpan != 0)
-                byRoot.emplace(item.request.obsContext.rootSpan,
-                               std::vector<obs::SpanRecord>());
-        }
-        std::unordered_map<uint64_t, uint64_t> rootOf;
-        for (const obs::SpanRecord &span : drained) {
-            uint64_t root = 0;
-            if (byRoot.count(span.id)) {
-                root = span.id;
-            } else if (span.parent != 0) {
-                const auto it = rootOf.find(span.parent);
-                if (it != rootOf.end())
-                    root = it->second;
+        } catch (const std::exception &e) {
+            // designRequests isolates item failures, but a fault in its
+            // pool fan-out (the pool.task failpoint) fails the whole
+            // batch, whose requests must still be answered.
+            const ErrorKind kind =
+                dynamic_cast<const InjectedFault *>(&e) != nullptr
+                ? ErrorKind::Injected
+                : ErrorKind::Internal;
+            for (const size_t i : live) {
+                responses[i] = DesignResponse();
+                responses[i].id = batch[i].request.id;
+                responses[i].error = {"serve.dispatch", errorKindName(kind),
+                                      e.what()};
             }
-            rootOf.emplace(span.id, root);
-            if (root != 0)
-                byRoot[root].push_back(span);
-        }
-
-        const auto finish = std::chrono::steady_clock::now();
-        ServeTelemetry &telemetry = serveTelemetry();
-        for (size_t i = 0; i < batch.size(); ++i) {
-            const QueuedRequest &item = batch[i];
-            DesignResponse &response = responses[i];
-            const size_t klass =
-                static_cast<size_t>(item.request.requestClass);
-            const double queue_s =
-                secondsSince(item.admitted, dispatch_start);
-            const double total_s = secondsSince(item.admitted, finish);
-            telemetry.queueSeconds[klass].observe(queue_s);
-            telemetry.serviceSeconds[klass].observe(total_s - queue_s);
-            telemetry.requestDuration[klass][outcomeIndex(response)]
-                .observe(total_s);
-
-            const uint64_t root = item.request.obsContext.rootSpan;
-            std::vector<obs::SpanRecord> *spans = nullptr;
-            if (root != 0) {
-                const auto it = byRoot.find(root);
-                if (it != byRoot.end())
-                    spans = &it->second;
-            }
-            if (item.request.trace && spans != nullptr)
-                response.trace = *spans;
-
-            const double deadline =
-                item.request.options.budget.deadlineMillis;
-            const double total_ms = total_s * 1000.0;
-            if (deadline > 0.0 &&
-                total_ms >= options_.slowRequestFraction * deadline) {
-                obs::SlowRequestCapture capture;
-                capture.requestId = item.request.id;
-                capture.tenant = item.request.tenant;
-                capture.requestClass =
-                    requestClassName(item.request.requestClass);
-                capture.outcome = kOutcomeNames[outcomeIndex(response)];
-                capture.totalMillis = total_ms;
-                capture.queueMillis = queue_s * 1000.0;
-                capture.deadlineMillis = deadline;
-                capture.degraded = response.degraded;
-                capture.fallbacks = response.fallbacks;
-                capture.errorStage = response.error.stage;
-                capture.errorKind = response.error.kind;
-                capture.errorDetail = response.error.detail;
-                if (spans != nullptr)
-                    capture.spans = *spans;
-                slowRing_.add(std::move(capture));
-                obs::logWarn(
-                    "serve.slow", "request blew its deadline fraction",
-                    {{"requestId", item.request.id},
-                     {"tenant", item.request.tenant},
-                     {"class",
-                      requestClassName(item.request.requestClass)},
-                     {"totalMillis", total_ms},
-                     {"deadlineMillis", deadline},
-                     {"outcome",
-                      kOutcomeNames[outcomeIndex(response)]}});
-            }
-
-            noteOutcome(item.request, response);
-            sendResponse(item.connection, item.request, response);
         }
     }
+
+    const std::vector<std::vector<obs::SpanRecord>> spans =
+        takeRequestSpans(batch);
+
+    const auto finish = std::chrono::steady_clock::now();
+    ServeTelemetry &telemetry = serveTelemetry();
+    for (size_t i = 0; i < batch.size(); ++i) {
+        const QueuedRequest &item = batch[i];
+        DesignResponse &response = responses[i];
+        const size_t klass = static_cast<size_t>(item.request.requestClass);
+        const double queue_s = secondsSince(item.admitted, dispatch_start);
+        const double total_s = secondsSince(item.admitted, finish);
+        telemetry.queueSeconds[klass].observe(queue_s);
+        telemetry.serviceSeconds[klass].observe(total_s - queue_s);
+        telemetry.requestDuration[klass][outcomeIndex(response)].observe(
+            total_s);
+
+        if (item.request.trace)
+            response.trace = spans[i];
+
+        const double deadline = item.request.options.budget.deadlineMillis;
+        const double total_ms = total_s * 1000.0;
+        if (deadline > 0.0 &&
+            total_ms >= options_.slowRequestFraction * deadline) {
+            obs::SlowRequestCapture capture;
+            capture.requestId = item.request.id;
+            capture.tenant = item.request.tenant;
+            capture.requestClass =
+                requestClassName(item.request.requestClass);
+            capture.outcome = kOutcomeNames[outcomeIndex(response)];
+            capture.totalMillis = total_ms;
+            capture.queueMillis = queue_s * 1000.0;
+            capture.deadlineMillis = deadline;
+            capture.degraded = response.degraded;
+            capture.fallbacks = response.fallbacks;
+            capture.errorStage = response.error.stage;
+            capture.errorKind = response.error.kind;
+            capture.errorDetail = response.error.detail;
+            capture.spans = spans[i];
+            slowRing_.add(std::move(capture));
+            obs::logWarn(
+                "serve.slow", "request blew its deadline fraction",
+                {{"requestId", item.request.id},
+                 {"tenant", item.request.tenant},
+                 {"class", requestClassName(item.request.requestClass)},
+                 {"totalMillis", total_ms},
+                 {"deadlineMillis", deadline},
+                 {"outcome", kOutcomeNames[outcomeIndex(response)]}});
+        }
+
+        noteOutcome(item.request, response);
+        sendResponse(item.connection, item.request, response);
+    }
+}
+
+std::vector<std::vector<obs::SpanRecord>>
+Server::takeRequestSpans(const std::vector<QueuedRequest> &batch)
+{
+    for (const QueuedRequest &item : batch)
+        tracer_.closeSpan(item.request.obsContext.rootSpan);
+    std::vector<std::vector<obs::SpanRecord>> taken(batch.size());
+    {
+        // Drain and file under one lock: a span another batch drained
+        // is filed under its root before that root's own batch takes it.
+        std::lock_guard<std::mutex> lock(spansMutex_);
+        for (obs::SpanRecord &span : tracer_.drain()) {
+            // Spans of no dispatched request (the shared batch
+            // bookkeeping, unsampled strays) are dropped here.
+            const auto it = spansByRoot_.find(span.root);
+            if (it != spansByRoot_.end())
+                it->second.push_back(std::move(span));
+        }
+        for (size_t i = 0; i < batch.size(); ++i) {
+            const auto it =
+                spansByRoot_.find(batch[i].request.obsContext.rootSpan);
+            if (it == spansByRoot_.end())
+                continue;
+            taken[i] = std::move(it->second);
+            spansByRoot_.erase(it);
+        }
+    }
+    // Filed in drain order; a parent finishes, and drains, after its
+    // children.
+    for (std::vector<obs::SpanRecord> &spans : taken) {
+        std::sort(spans.begin(), spans.end(),
+                  [](const obs::SpanRecord &a, const obs::SpanRecord &b) {
+                      return a.id < b.id;
+                  });
+    }
+    return taken;
 }
 
 void

@@ -10,8 +10,10 @@
  *                 bounded per-class queues (interactive ▶ batch ▶ bulk)
  *                             │
  *                             ▼
- *          dispatcher thread ──▶ BatchDesigner on the shared pool
- *                             │
+ *          dispatcher thread ──▶ up to `workers` batch tasks in flight
+ *                             │   on the shared pool, each a
+ *                             │   BatchDesigner call fanning its items
+ *                             │   over the same pool
  *                             ▼
  *               response frames (per-connection write mutex)
  *
@@ -19,14 +21,18 @@
  * unless the request carries its own finite budget, and rejects — with
  * a structured DesignResponse, not a dropped connection — when the
  * queue is at maxQueueDepth or the server is draining. The dispatcher
- * pops interactive work first and coalesces up to maxDispatchBatch
- * jobs per BatchDesigner call, so identical concurrent requests hit
- * the batch memo.
+ * pops interactive work first, coalesces up to maxDispatchBatch queued
+ * jobs into one batch, and submits it as one pool task, then goes back
+ * to popping while fewer than `workers` batches are in flight. So a
+ * request waits only for its own batch, never for the slowest item of
+ * a batch it is not in. Each task designs its batch, partitions the
+ * daemon's spans per request, records the latency histograms and the
+ * slow-request ring, and sends the responses.
  *
- * Shutdown is a drain: new admissions are refused immediately, every
- * admitted request still gets its response, then connections close.
- * Design work needs no separate drain, because each dispatch's
- * BatchDesigner call is synchronous on the dispatcher thread.
+ * Shutdown is a drain: new admissions are refused immediately, and the
+ * dispatcher returns only once the queues are empty and no batch is in
+ * flight, so every admitted request still gets its response before the
+ * connections close.
  */
 
 #ifndef AUTOFSM_SERVE_SERVER_HH
@@ -40,6 +46,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "flow/api.hh"
@@ -57,8 +64,9 @@ struct ServeOptions
 {
     /** TCP port on 127.0.0.1; 0 picks a free one (see Server::port). */
     uint16_t port = 0;
-    /** Design concurrency per dispatch: the BatchOptions::threads cap
-     *  on the shared pool; 0 means ThreadPool::defaultThreadCount(). */
+    /** Batches in flight, each fanning its items over the same shared
+     *  pool (its BatchOptions::threads cap); 0 means the shared pool's
+     *  thread count. */
     unsigned workers = 0;
     /** Admission bound: queued-but-undispatched requests across classes. */
     size_t maxQueueDepth = 256;
@@ -182,6 +190,15 @@ class Server
         std::chrono::steady_clock::time_point admitted;
     };
 
+    /** Design one popped batch and answer it (runs as a pool task). */
+    void runBatch(std::vector<QueuedRequest> batch);
+    /**
+     * Consume the daemon tracer's finished spans and return, per item
+     * of @p batch, its request's span tree (empty when unsampled).
+     */
+    std::vector<std::vector<obs::SpanRecord>>
+    takeRequestSpans(const std::vector<QueuedRequest> &batch);
+
     void acceptLoop();
     void connectionLoop(std::shared_ptr<Connection> connection);
     void dispatchLoop();
@@ -208,11 +225,23 @@ class Server
     std::thread acceptThread_;
     std::thread dispatchThread_;
 
+    /** Guards spansByRoot_; drain and partition happen under it. */
+    std::mutex spansMutex_;
+    /**
+     * Spans of dispatched sampled requests, keyed by root span, kept
+     * until the request's own batch takes them: a batch's drain also
+     * picks up the finished spans of other requests still in flight.
+     */
+    std::unordered_map<uint64_t, std::vector<obs::SpanRecord>> spansByRoot_;
+
     mutable std::mutex mutex_;
+    /** Wakes the dispatcher: work queued, a batch done, or draining. */
     std::condition_variable dispatchWake_;
     /** One deque per RequestClass, indexed by its enum value. */
     std::deque<QueuedRequest> queues_[3];
     size_t queued_ = 0;
+    /** Batches submitted to the pool and not yet answered. */
+    size_t inFlight_ = 0;
     bool draining_ = false;
     bool started_ = false;
     std::vector<std::shared_ptr<Connection>> connections_;

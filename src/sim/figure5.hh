@@ -41,7 +41,8 @@ struct Fig5Benchmark
     AreaMissSeries lgc;
     AreaMissSeries customSame;
     AreaMissSeries customDiff;
-    /** The trained branches backing the custom curves (for Figure 4). */
+    /** The trained branches backing the custom curves; Fig5Report
+     *  renders their states and stage timings. */
     std::vector<TrainedBranch> trained;
 };
 

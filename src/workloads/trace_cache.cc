@@ -202,8 +202,13 @@ cachedBranchTrace(const std::string &name, WorkloadInput input,
             // build as before, then spill best-effort for next time.
             TracePtr built = loadTraceFromStore(key);
             if (!built) {
+                const auto start = std::chrono::steady_clock::now();
                 built = std::make_shared<const PackedTrace>(
                     makeBranchTrace(name, input, approx_branches));
+                observeTraceBuildMillis(
+                    std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
                 saveTraceToStore(key, *built);
             }
             promise.set_value(std::move(built));
@@ -280,6 +285,16 @@ uint64_t
 workloadTraceGeneration()
 {
     return cache().generation.load();
+}
+
+void
+observeTraceBuildMillis(double millis)
+{
+    static obs::Histogram histogram = obs::globalMetrics().histogram(
+        "autofsm_trace_build_millis",
+        "Generation time of one synthetic workload trace.",
+        obs::defaultLatencyBucketsMillis());
+    histogram.observe(millis);
 }
 
 } // namespace autofsm

@@ -25,7 +25,8 @@
  * are never dropped, so concurrent callers keep deduplicating — and
  * counted in autofsm_tracecache_evictions_total. Outstanding
  * shared_ptrs to an evicted trace stay valid; only the cache's
- * reference goes away.
+ * reference goes away. Each trace a miss generates (rather than loads
+ * from the disk tier) is timed into autofsm_trace_build_millis.
  */
 
 #ifndef AUTOFSM_WORKLOADS_TRACE_CACHE_HH
@@ -94,6 +95,13 @@ void clearBranchTraceCache();
  * when the generation differs.
  */
 uint64_t workloadTraceGeneration();
+
+/**
+ * Observe @p millis into `autofsm_trace_build_millis`, the time to
+ * generate one synthetic trace (a cachedBranchTrace miss, or one
+ * makeValueTrace call).
+ */
+void observeTraceBuildMillis(double millis);
 
 } // namespace autofsm
 

@@ -1,9 +1,11 @@
 #include "workloads/value_workloads.hh"
 
 #include <cassert>
+#include <chrono>
 #include <stdexcept>
 
 #include "support/rng.hh"
+#include "workloads/trace_cache.hh"
 
 namespace autofsm
 {
@@ -266,8 +268,13 @@ makeValueTrace(const std::string &name, size_t approx_loads)
     uint64_t seed = 0xA11CE;
     for (char c : name)
         seed = seed * 131 + static_cast<unsigned char>(c);
+    const auto start = std::chrono::steady_clock::now();
     ValueProgramModel model(buildLoads(name), seed);
-    return model.generate(approx_loads);
+    ValueTrace trace = model.generate(approx_loads);
+    observeTraceBuildMillis(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+    return trace;
 }
 
 } // namespace autofsm

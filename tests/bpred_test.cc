@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "bpred/btb.hh"
 #include "bpred/custom.hh"
 #include "bpred/gshare.hh"
@@ -105,6 +107,52 @@ TEST(XScaleBtbTest, AreaMatchesGeometry)
         (config.tagBits + config.targetBits + 2) * config.entries *
         costs.sramBit;
     EXPECT_DOUBLE_EQ(btb.area(), expected);
+}
+
+// Geometry checks run before any table is allocated, in every build
+// type: these sizes would otherwise ask for up to 2^40 counters or
+// shift out of range.
+TEST(XScaleBtbTest, RejectsBadGeometry)
+{
+    for (const int entries : {0, -128, 96, 1 << 25}) {
+        BtbConfig config;
+        config.entries = entries;
+        EXPECT_THROW(XScaleBtb{config}, std::invalid_argument) << entries;
+    }
+    BtbConfig config;
+    config.tagBits = -1;
+    EXPECT_THROW(XScaleBtb{config}, std::invalid_argument);
+}
+
+TEST(GshareTest, RejectsBadGeometry)
+{
+    for (const int log2 : {0, -1, 25, 40, 64}) {
+        GshareConfig config;
+        config.log2Entries = log2;
+        config.historyBits = 0;
+        EXPECT_THROW(Gshare{config}, std::invalid_argument) << log2;
+    }
+    for (const int history : {-1, 13}) {
+        GshareConfig config;
+        config.log2Entries = 12;
+        config.historyBits = history;
+        EXPECT_THROW(Gshare{config}, std::invalid_argument) << history;
+    }
+}
+
+TEST(LgcTest, RejectsBadGeometry)
+{
+    for (const int log2 : {0, -1}) {
+        LgcConfig config;
+        config.log2Entries = log2;
+        EXPECT_THROW(LocalGlobalChooser{config}, std::invalid_argument)
+            << log2;
+    }
+    for (const int log2 : {17, 40, 64}) {
+        LgcConfig config;
+        config.log2Entries = log2;
+        EXPECT_THROW(LocalGlobalChooser{config}, std::length_error) << log2;
+    }
 }
 
 TEST(GshareTest, LearnsGlobalCorrelation)
@@ -274,6 +322,21 @@ TEST(TrainerTest, TrainsRequestedCount)
         EXPECT_GT(branch.baselineMisses, 0u);
     }
     EXPECT_GE(trained[0].baselineMisses, trained[1].baselineMisses);
+}
+
+TEST(TrainerTest, RejectsNegativeBranchBudget)
+{
+    // Cast to size_t, -1 would silently mean "every branch".
+    PackedTraceBuilder builder;
+    for (int i = 0; i < 64; ++i)
+        builder.push(0x40 + 4 * (i % 4), (i % 3) == 0);
+    const PackedTrace trace = builder.finish();
+    CustomTrainingOptions options;
+    options.maxCustomBranches = -1;
+    EXPECT_THROW(trainCustomPredictors(trace, options),
+                 std::invalid_argument);
+    EXPECT_THROW(collectBranchModelSweeps(trace, {2, 4}, options),
+                 std::invalid_argument);
 }
 
 TEST(TrainerTest, CustomFsmBeatsBaselineOnCorrelatedBranch)

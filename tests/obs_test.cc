@@ -18,6 +18,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -766,6 +767,63 @@ TEST(TracerTest, PoolFannedRequestsYieldConnectedDisjointTrees)
         else
             EXPECT_TRUE(at == roots[0] || at == roots[1]);
     }
+}
+
+/**
+ * Each span carries the root of the request bound on its thread when it
+ * opened, so spans drained while their request root is still open (the
+ * serve daemon drains one tracer from concurrent batches) stay
+ * attributable without their parents.
+ */
+TEST(TracerTest, SpansCarryTheRootOfTheirBoundContext)
+{
+    SKIP_IF_NO_TELEMETRY();
+    Tracer tracer;
+    tracer.enable(true);
+    uint64_t roots[2];
+    for (uint64_t &root : roots)
+        root = tracer.openSpan("serve.request");
+
+    std::vector<std::thread> threads;
+    for (int r = 0; r < 2; ++r) {
+        threads.emplace_back([&, r] {
+            TraceContext context;
+            context.requestId = static_cast<uint64_t>(r) + 1;
+            context.sampled = true;
+            context.rootSpan = roots[r];
+            TraceContextScope scope(context);
+            const std::string suffix(1, static_cast<char>('0' + r));
+            SpanScope item(&tracer, "item." + suffix, roots[r]);
+            SpanScope stage(&tracer, "stage." + suffix); // stack parent
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    {
+        // No bound context: a parentless span roots its own tree, and
+        // its child belongs to no request.
+        SpanScope loose(&tracer, "batch.designAll");
+        SpanScope child(&tracer, "batch.evaluate");
+    }
+
+    const std::vector<SpanRecord> children = tracer.drain();
+    ASSERT_EQ(children.size(), 6u);
+    for (const SpanRecord &span : children) {
+        if (span.name == "batch.designAll") {
+            EXPECT_EQ(span.root, span.id);
+        } else if (span.name == "batch.evaluate") {
+            EXPECT_EQ(span.root, 0u);
+        } else {
+            const int r = span.name.back() - '0';
+            EXPECT_EQ(span.root, roots[r]) << span.name;
+        }
+    }
+    for (const uint64_t root : roots)
+        tracer.closeSpan(root);
+    const std::vector<SpanRecord> closed = tracer.drain();
+    ASSERT_EQ(closed.size(), 2u);
+    for (const SpanRecord &span : closed)
+        EXPECT_EQ(span.root, span.id);
 }
 
 TEST(TraceEventsExportTest, ChromeGoldenAndStrictJson)

@@ -5,15 +5,18 @@
  * admission controller's class -> budget mapping, the BatchDesigner
  * request engine, and the daemon end to end — concurrent clients
  * getting artifacts bit-identical to the direct library path, graceful
- * drain on shutdown, and failpoint recovery in the accept and dispatch
- * loops.
+ * drain on shutdown, concurrent batches (no head-of-line blocking),
+ * and failpoint recovery in the accept and dispatch loops.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -36,6 +39,7 @@
 #include "support/failpoint.hh"
 #include "support/json_parse.hh"
 #include "support/rng.hh"
+#include "support/thread_pool.hh"
 #include "workloads/trace_cache.hh"
 
 namespace autofsm
@@ -1099,6 +1103,165 @@ TEST_F(ServerTest, DispatchFaultFailsOneJobStructurally)
     const DesignResponse recovered = client.design(request);
     ASSERT_TRUE(recovered.ok) << recovered.error.detail;
     EXPECT_EQ(recovered.artifact, directArtifact(request));
+}
+
+/**
+ * A trace-ref source that holds its resolver until the test releases
+ * it, so a batch stays in flight for exactly as long as the test needs.
+ * The wait is bounded only so a dispatcher that serializes batches
+ * fails the test instead of hanging it.
+ */
+struct HeldTraceRef
+{
+    std::mutex mutex;
+    std::condition_variable changed;
+    /** Resolver calls so far (each one is a batch in flight). */
+    size_t entered = 0;
+    bool released = false;
+    bool timedOut = false;
+
+    void
+    reset()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        entered = 0;
+        released = timedOut = false;
+    }
+
+    void
+    waitEntered(size_t count)
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        changed.wait(lock, [&] { return entered >= count; });
+    }
+
+    /** Release every holder; false if one had already timed out. */
+    bool
+    release()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        released = true;
+        changed.notify_all();
+        return !timedOut;
+    }
+};
+
+HeldTraceRef &
+heldTraceRef()
+{
+    static HeldTraceRef held;
+    return held;
+}
+
+std::shared_ptr<const PackedTrace>
+resolveHeldTraceRef(const std::string &, uint64_t approxBranches)
+{
+    HeldTraceRef &held = heldTraceRef();
+    {
+        std::unique_lock<std::mutex> lock(held.mutex);
+        ++held.entered;
+        held.changed.notify_all();
+        held.timedOut = !held.changed.wait_for(
+            lock, std::chrono::seconds(20), [&] { return held.released; });
+    }
+    return cachedBranchTrace("compress", WorkloadInput::Train,
+                             approxBranches);
+}
+
+TEST_F(ServerTest, LightRequestIsAnsweredWhileAnotherBatchIsInFlight)
+{
+    if (sharedPool().threadCount() < 2)
+        GTEST_SKIP() << "two batches in flight need two pool threads";
+    HeldTraceRef &held = heldTraceRef();
+    held.reset();
+    setTraceRefResolver(&resolveHeldTraceRef);
+    serve::ServeOptions options;
+    options.workers = 2;
+    startServer(options);
+
+    DesignRequest heavy;
+    heavy.id = 95;
+    heavy.traceRef = "held";
+    heavy.traceBranches = 4000;
+    heavy.options.order = 4;
+    heavy.requestClass = RequestClass::Bulk;
+    DesignResponse heavyResponse;
+    std::string heavyError;
+    std::thread heavyClient([&] {
+        try {
+            heavyResponse = connect().design(heavy);
+        } catch (const std::exception &e) {
+            heavyError = e.what();
+        }
+    });
+    // The heavy batch is in flight once its resolver is entered.
+    held.waitEntered(1);
+
+    const DesignRequest light = outcomesRequest(96, syntheticTrace(2));
+    const DesignResponse lightResponse = connect().design(light);
+    const bool heavyStillHeld = held.release();
+    heavyClient.join();
+    setTraceRefResolver(nullptr);
+
+    ASSERT_TRUE(lightResponse.ok) << lightResponse.error.detail;
+    EXPECT_EQ(lightResponse.artifact, directArtifact(light));
+    EXPECT_TRUE(heavyStillHeld)
+        << "the light request waited for the heavy request's batch";
+    EXPECT_EQ(heavyError, "");
+    EXPECT_TRUE(heavyResponse.ok) << heavyResponse.error.detail;
+}
+
+TEST_F(ServerTest, PoolFaultInABatchAnswersEveryRequestInIt)
+{
+    if (sharedPool().threadCount() < 2)
+        GTEST_SKIP() << "two batches in flight need two pool threads";
+    HeldTraceRef &held = heldTraceRef();
+    held.reset();
+    setTraceRefResolver(&resolveHeldTraceRef);
+    serve::ServeOptions options;
+    options.workers = 2;
+    serve::Server &server = startServer(options);
+
+    // Two held batches fill both slots, so the next two requests queue
+    // together and leave as one batch of two, whose fan-out hits the
+    // armed pool.task failpoint.
+    std::vector<std::thread> clients;
+    std::vector<DesignResponse> responses(4);
+    auto send = [&](size_t slot, DesignRequest request) {
+        clients.emplace_back([&, slot, request] {
+            try {
+                responses[slot] = connect().design(request);
+            } catch (const std::exception &e) {
+                responses[slot].error.detail = e.what();
+            }
+        });
+    };
+    for (size_t h = 0; h < 2; ++h) {
+        DesignRequest heavy;
+        heavy.id = 97 + h;
+        heavy.traceRef = "held";
+        heavy.traceBranches = 4000;
+        heavy.options.order = 4;
+        send(h, heavy);
+        held.waitEntered(h + 1);
+    }
+    send(2, outcomesRequest(99, syntheticTrace(3)));
+    send(3, outcomesRequest(100, syntheticTrace(4)));
+    while (server.queueDepth() < 2)
+        std::this_thread::yield();
+    failpoint::registry().set("pool.task", "fail-times:1");
+    EXPECT_TRUE(held.release());
+    for (std::thread &client : clients)
+        client.join();
+    setTraceRefResolver(nullptr);
+
+    for (size_t slot = 0; slot < 2; ++slot)
+        EXPECT_TRUE(responses[slot].ok) << responses[slot].error.detail;
+    for (size_t slot = 2; slot < 4; ++slot) {
+        EXPECT_FALSE(responses[slot].ok);
+        EXPECT_EQ(responses[slot].error.stage, "serve.dispatch");
+        EXPECT_EQ(responses[slot].error.kind, "injected");
+    }
 }
 
 // ---------------------------------------------------------------------------

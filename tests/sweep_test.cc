@@ -31,6 +31,7 @@
 #include "support/rng.hh"
 #include "trace/packed_trace.hh"
 #include "workloads/trace_cache.hh"
+#include "workloads/value_workloads.hh"
 
 #include "reference_predictors.hh"
 
@@ -469,6 +470,38 @@ TEST(TraceCacheTest, LoweringTheCapEvictsImmediately)
 
     setBranchTraceCacheCapacity(previous);
     clearBranchTraceCache();
+}
+
+#ifndef AUTOFSM_NO_TELEMETRY
+/** Observations so far in autofsm_trace_build_millis. */
+uint64_t
+traceBuildCount()
+{
+    for (const obs::MetricValue &metric :
+         obs::globalMetrics().snapshot().metrics) {
+        if (metric.name == "autofsm_trace_build_millis")
+            return metric.histogram.count;
+    }
+    return 0;
+}
+#endif
+
+TEST(TraceCacheTest, ColdKeyIsTimedOnceIntoTheBuildHistogram)
+{
+#ifdef AUTOFSM_NO_TELEMETRY
+    GTEST_SKIP() << "built with AUTOFSM_NO_TELEMETRY";
+#else
+    clearBranchTraceCache();
+    const uint64_t before = traceBuildCount();
+    const auto first = cachedBranchTrace("gsm", WorkloadInput::Test, 2000);
+    const auto second = cachedBranchTrace("gsm", WorkloadInput::Test, 2000);
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(traceBuildCount() - before, 1u);
+
+    makeValueTrace(valueBenchmarkNames().front(), 1000);
+    EXPECT_EQ(traceBuildCount() - before, 2u);
+    clearBranchTraceCache();
+#endif
 }
 
 } // anonymous namespace
