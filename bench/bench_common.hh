@@ -8,7 +8,7 @@
  * exporters in behind `--metrics-out`:
  *
  *     bench_foo [positional...] [--threads=N] [--seed=N]
- *               [--repeat=N] [--shards=N]
+ *               [--repeat=N]
  *               [--metrics-out=FILE] [--metrics-format=json|prom]
  *
  * When `--metrics-format` is omitted it is inferred from the output
@@ -58,12 +58,6 @@ struct BenchOptions
      */
     size_t repeat = 1;
     bool repeatSet = false;
-    /**
-     * --shards=N: trace shards for benches with sharded replays
-     * (0 = the engine's auto choice, 1 = unsharded).
-     */
-    size_t shards = 0;
-    bool shardsSet = false;
     /** --metrics-out=FILE; empty means no export. */
     std::string metricsOut;
     /** "json" or "prom" (set explicitly or inferred from metricsOut). */
@@ -122,8 +116,7 @@ parseBenchArgs(int argc, char **argv, const char *usage)
         std::string_view value;
         if (arg == "-h" || arg == "--help") {
             std::cout << "usage: " << argv[0] << " " << usage << "\n"
-                      << "  [--threads=N] [--seed=N] [--repeat=N] "
-                         "[--shards=N]\n"
+                      << "  [--threads=N] [--seed=N] [--repeat=N]\n"
                          "  [--metrics-out=FILE] "
                          "[--metrics-format=json|prom]\n"
                          "  [--request-file=FILE] [--trace-out=FILE]\n";
@@ -144,10 +137,6 @@ parseBenchArgs(int argc, char **argv, const char *usage)
                 std::cerr << argv[0] << ": --repeat must be >= 1\n";
                 std::exit(2);
             }
-        } else if (consumeFlag(arg, "--shards=", value)) {
-            options.shards = std::strtoull(std::string(value).c_str(),
-                                           nullptr, 10);
-            options.shardsSet = true;
         } else if (consumeFlag(arg, "--metrics-out=", value)) {
             options.metricsOut = std::string(value);
         } else if (consumeFlag(arg, "--metrics-format=", value)) {

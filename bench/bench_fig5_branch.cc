@@ -50,8 +50,6 @@ main(int argc, char **argv)
         options.training.threads = args.threads;
         options.sweepThreads = args.threads;
     }
-    if (args.shardsSet)
-        options.replayShards = args.shards;
 
     std::cout << "Reproduction of Figure 5 (Sherwood & Calder, ISCA'01)\n"
               << "branches per run: " << options.branchesPerRun << "\n\n";

@@ -7,7 +7,7 @@
 
 #include "automata/dfa_io.hh"
 #include "fsmgen/profile.hh"
-#include "sim/bitsliced.hh"
+#include "fsmgen/suffix_table.hh"
 #include "support/failpoint.hh"
 #include "support/json.hh"
 
@@ -391,11 +391,11 @@ designService(const DesignRequest &request)
         response = designResponseFromFlow(request, flow);
         if (request.evaluate) {
             // Single-request evaluation path; the batch engine groups
-            // shared-stream requests into one multi-lane replay instead.
+            // shared-stream requests into one replay call instead.
             const OutcomeWords stream = resolveRequestOutcomes(request);
-            const std::vector<BitslicedMachine> machines = {
+            const std::vector<ReplayMachine> machines = {
                 {&flow.design.fsm, nullptr}};
-            const std::vector<uint64_t> misses = replayMachinesBitsliced(
+            const std::vector<uint64_t> misses = replayMachines(
                 machines, stream.words.data(), stream.bits);
             response.evaluated = true;
             response.evalBranches = stream.bits;

@@ -104,12 +104,12 @@ struct DesignRequest
     /**
      * Opt into evaluation: after a successful design, replay the
      * designed machine over the request's own behavior stream (dense —
-     * predicting every record) through the bit-sliced engine
-     * (sim/bitsliced.hh) and report evalBranches/evalMisses in the
+     * predicting every record) through replayMachines
+     * (fsmgen/suffix_table.hh) and report evalBranches/evalMisses in the
      * response. Requires an outcome-bearing source (traceRef or inline
      * outcomes); a pre-trained model carries no stream to replay.
      * Requests sharing a (traceRef, traceBranches) stream are evaluated
-     * together in one multi-lane replay by the batch engine.
+     * together in one replay call by the batch engine.
      */
     bool evaluate = false;
 

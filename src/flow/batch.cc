@@ -7,7 +7,7 @@
 #include <unordered_map>
 
 #include "flow/budget.hh"
-#include "sim/bitsliced.hh"
+#include "fsmgen/suffix_table.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "obs/trace_context.hh"
@@ -335,9 +335,8 @@ BatchDesigner::designRequests(const std::vector<DesignRequest> &requests)
     // items carry their machine too. Equal model content does not imply
     // an equal stream, so every evaluating request replays its OWN
     // source; requests naming the same (traceRef, traceBranches) stream
-    // share one resolve and one multi-lane bit-sliced replay. Groups
-    // run serially here — the replay engine fans each one out across
-    // the pool internally (lane groups x trace shards).
+    // share one resolve and one replayMachines call. Groups run
+    // serially here.
     {
         std::vector<std::vector<size_t>> groups;
         std::unordered_map<std::string, size_t> by_stream;
@@ -363,16 +362,13 @@ BatchDesigner::designRequests(const std::vector<DesignRequest> &requests)
             try {
                 const OutcomeWords stream =
                     resolveRequestOutcomes(requests[group.front()]);
-                std::vector<BitslicedMachine> machines(group.size());
+                std::vector<ReplayMachine> machines(group.size());
                 for (size_t m = 0; m < group.size(); ++m) {
-                    machines[m] = BitslicedMachine{
+                    machines[m] = ReplayMachine{
                         &results[group[m]].flow.design.fsm, nullptr};
                 }
-                BitslicedOptions replay;
-                replay.threads = options_.threads;
-                const std::vector<uint64_t> misses =
-                    replayMachinesBitsliced(machines, stream.words.data(),
-                                            stream.bits, replay);
+                const std::vector<uint64_t> misses = replayMachines(
+                    machines, stream.words.data(), stream.bits);
                 for (size_t m = 0; m < group.size(); ++m) {
                     BatchItemResult &slot = results[group[m]];
                     slot.evaluated = true;

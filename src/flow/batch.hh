@@ -158,7 +158,7 @@ class BatchDesigner
      * Equal model content does not imply an equal stream, so every
      * evaluating request replays its own source; requests naming the
      * same (traceRef, traceBranches) share one stream resolve and one
-     * multi-lane bit-sliced replay (sim/bitsliced.hh).
+     * replayMachines call (fsmgen/suffix_table.hh).
      *
      * @return One result per input, in input order.
      */

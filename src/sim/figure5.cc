@@ -114,9 +114,8 @@ evaluateFigure5(const std::string &benchmark, const PackedTrace &train,
     // the dedicated point simulation would have published is exported
     // from the same tallies.
     const CustomReplayCounts diff_counts =
-        replayCustomMachines(machines, test,
-                             options.training.baseline, costs,
-                             sweep_threads, options.replayShards);
+        replayCustomMachines(machines, test, options.training.baseline,
+                             costs);
     {
         BpredSimResult r;
         r.branches = test.size();
@@ -165,14 +164,11 @@ evaluateFigure5(const std::string &benchmark, const PackedTrace &train,
             baseline.btbMisses.push_back(branch.baselineMisses);
             baseline.positions.push_back(&branch.trainPositions);
         }
-        same_counts = replayCustomMachines(machines, train,
-                                           baseline, sweep_threads,
-                                           options.replayShards);
+        same_counts = replayCustomMachines(machines, train, baseline);
     } else {
         same_counts = replayCustomMachines(machines, train,
                                            options.training.baseline,
-                                           costs, sweep_threads,
-                                           options.replayShards);
+                                           costs);
     }
     result.customSame = customSeries(trained, same_counts,
                                      train.size(), "custom-same",

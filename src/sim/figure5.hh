@@ -64,18 +64,12 @@ struct Fig5Options
      */
     unsigned threads = 0;
     /**
-     * Worker threads for the intra-benchmark sweep (independent sweep
-     * points and custom-machine replays; 0 = one per hardware core).
-     * Results are bit-identical for any value. runFigure5All pins this
-     * to 1 so benchmark- and sweep-level parallelism don't multiply.
+     * Worker threads for the intra-benchmark sweep (independent gshare
+     * and LGC sweep points; 0 = one per hardware core). Results are
+     * bit-identical for any value. runFigure5All pins this to 1 so
+     * benchmark- and sweep-level parallelism don't multiply.
      */
     unsigned sweepThreads = 0;
-    /**
-     * Trace shards for the custom-machine replays (the bit-sliced
-     * engine's sharded evaluation; 0 = auto from sweepThreads,
-     * 1 = unsharded). Tallies are bit-identical for any value.
-     */
-    size_t replayShards = 0;
 };
 
 /**

@@ -1,8 +1,9 @@
 #include "sim/sweep.hh"
 
+#include <stdexcept>
+
+#include "fsmgen/suffix_table.hh"
 #include "obs/metrics.hh"
-#include "sim/bitsliced.hh"
-#include "support/thread_pool.hh"
 
 namespace autofsm
 {
@@ -44,13 +45,11 @@ SweepPointTimer::~SweepPointTimer()
 CustomReplayCounts
 replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
                      const PackedTrace &trace, const BtbConfig &btb_config,
-                     const AreaCosts &costs, unsigned threads,
-                     size_t shards)
+                     const AreaCosts &costs)
 {
     CustomReplayCounts counts;
     const size_t k = machines.size();
     counts.btbMisses.assign(k, 0);
-    counts.fsmMisses.assign(k, 0);
 
     XScaleBtb btb(btb_config, costs);
     counts.btbArea = btb.area();
@@ -80,7 +79,7 @@ replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
 
     // Baseline pass: the BTB is one stateful chain, so this stays
     // serial; it doubles as the collection pass for each machine's
-    // branch positions so the parallel replays need no pc lookups.
+    // branch positions so the replays need no pc lookups.
     std::vector<std::vector<uint32_t>> positions(k);
     const size_t n = trace.size();
     const uint64_t *pcs = trace.pcs().data();
@@ -110,14 +109,10 @@ replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
 
     {
         SweepPointTimer timer;
-        std::vector<BitslicedMachine> sliced(k);
+        std::vector<ReplayMachine> replay(k);
         for (size_t m = 0; m < k; ++m)
-            sliced[m] = BitslicedMachine{machines[m].fsm, &positions[m]};
-        BitslicedOptions options;
-        options.threads = threads;
-        options.shards = shards;
-        counts.fsmMisses =
-            replayMachinesBitsliced(sliced, words, n, options);
+            replay[m] = ReplayMachine{machines[m].fsm, &positions[m]};
+        counts.fsmMisses = replayMachines(replay, words, n);
     }
 
     return counts;
@@ -126,15 +121,29 @@ replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
 CustomReplayCounts
 replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
                      const PackedTrace &trace,
-                     const CustomBaselineProfile &baseline, unsigned threads,
-                     size_t shards)
+                     const CustomBaselineProfile &baseline)
 {
-    CustomReplayCounts counts;
     const size_t k = machines.size();
+    if (baseline.btbMisses.size() != k || baseline.positions.size() != k) {
+        throw std::invalid_argument(
+            "replayCustomMachines: baseline profile has " +
+            std::to_string(baseline.btbMisses.size()) + " miss counts and " +
+            std::to_string(baseline.positions.size()) +
+            " position lists for " + std::to_string(k) + " machines");
+    }
+    std::vector<ReplayMachine> replay(k);
+    for (size_t m = 0; m < k; ++m) {
+        if (baseline.positions[m] == nullptr) {
+            throw std::invalid_argument(
+                "replayCustomMachines: machine " + std::to_string(m) +
+                " has no position list");
+        }
+        replay[m] = ReplayMachine{machines[m].fsm, baseline.positions[m]};
+    }
+
+    CustomReplayCounts counts;
     counts.btbMissesTotal = baseline.btbMissesTotal;
     counts.btbMisses = baseline.btbMisses;
-    counts.btbMisses.resize(k, 0);
-    counts.fsmMisses.assign(k, 0);
     counts.btbArea = baseline.btbArea;
     counts.btbName = baseline.btbName;
     counts.btbLookups = baseline.btbLookups;
@@ -144,26 +153,10 @@ replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
     publishBtbMetrics(baseline.btbName, baseline.btbLookups,
                       baseline.btbHits);
 
-    const size_t n = trace.size();
-    const uint64_t *words = trace.takenWords().data();
-    static const std::vector<uint32_t> no_positions;
     {
         SweepPointTimer timer;
-        std::vector<BitslicedMachine> sliced(k);
-        for (size_t m = 0; m < k; ++m) {
-            // An absent positions list means "this machine never
-            // predicts" (sparse-empty), not dense mode.
-            const std::vector<uint32_t> *positions =
-                m < baseline.positions.size() && baseline.positions[m]
-                    ? baseline.positions[m]
-                    : &no_positions;
-            sliced[m] = BitslicedMachine{machines[m].fsm, positions};
-        }
-        BitslicedOptions options;
-        options.threads = threads;
-        options.shards = shards;
         counts.fsmMisses =
-            replayMachinesBitsliced(sliced, words, n, options);
+            replayMachines(replay, trace.takenWords().data(), trace.size());
     }
 
     return counts;

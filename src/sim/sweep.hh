@@ -12,12 +12,10 @@
  *    `final`, so the step binds statically and inlines; it makes the
  *    same decisions as the virtual predict/update pair. Figure 5 runs
  *    each gshare and LGC sweep point as its own shared-pool task.
- *  - `replayCustomMachines`: the transposed custom-curve evaluation -
- *    instead of stepping every trained FSM on every record, machines are
- *    compiled into lane groups and replayed together over the packed
- *    outcome bitstream by the bit-sliced engine (sim/bitsliced.hh),
- *    which also shards long traces across workers with exact
- *    warm-up-edge replay at the shard boundaries.
+ *  - `replayCustomMachines`: the custom-curve evaluation - one serial
+ *    BTB pass records each machine's branch positions, and each machine
+ *    is then tallied at its positions as its suffix table
+ *    (fsmgen/suffix_table.hh) instead of being stepped on every record.
  *
  * Results are bit-identical to per-record virtual simulation; sweep_test
  * checks every kernel against the plain reference predictors.
@@ -134,13 +132,11 @@ struct CustomReplayCounts
 };
 
 /**
- * Transposed custom-curve evaluation. One serial baseline pass drives
- * the BTB (a single stateful chain) and records, per machine, where its
- * branch executes and how often the baseline missed it; the machines
- * then replay together over the packed outcome bitstream through the
- * bit-sliced engine (up to 64 per word-op, trace sharded across
- * @p threads workers; @p shards 0 picks a shard count automatically,
- * any value is tally-identical).
+ * Custom-curve evaluation. One serial baseline pass drives the BTB (a
+ * single stateful chain) and records, per machine, where its branch
+ * executes and how often the baseline missed it; each machine then
+ * replays at those positions over the packed outcome bitstream
+ * (replayMachines, fsmgen/suffix_table.hh).
  *
  * Counts are bit-identical to the seed loop that stepped every machine
  * on every record.
@@ -148,8 +144,7 @@ struct CustomReplayCounts
 CustomReplayCounts
 replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
                      const PackedTrace &trace, const BtbConfig &btb_config,
-                     const AreaCosts &costs, unsigned threads = 0,
-                     size_t shards = 0);
+                     const AreaCosts &costs);
 
 /**
  * Baseline-pass artifacts recorded by an earlier profiling stage over
@@ -176,12 +171,15 @@ struct CustomBaselineProfile
  * misses are functions of the trace and BTB config alone; the BTB
  * telemetry the skipped pass would have published is exported from the
  * recorded tallies.
+ *
+ * @throws std::invalid_argument when btbMisses or positions does not
+ * hold one entry per machine, on a null position list, or on positions
+ * replayMachines rejects.
  */
 CustomReplayCounts
 replayCustomMachines(const std::vector<CustomSweepMachine> &machines,
                      const PackedTrace &trace,
-                     const CustomBaselineProfile &baseline,
-                     unsigned threads = 0, size_t shards = 0);
+                     const CustomBaselineProfile &baseline);
 
 } // namespace autofsm
 

@@ -3,9 +3,9 @@
  * A small fixed-size thread pool, the one process-wide instance of it
  * (sharedPool), and a blocking parallel-for built on that instance.
  *
- * Every parallel fan-out in the library (batch design, bit-sliced
- * replay, the Figure 5 sweep points, runFigure4 and runFigure5All)
- * goes through parallelFor, so a process starts its workers once and
+ * Every parallel fan-out in the library (batch design, the Figure 5
+ * sweep points, runFigure4 and runFigure5All) goes through
+ * parallelFor, so a process starts its workers once and
  * then reuses them however many passes it runs. Tasks are coarse, so the
  * implementation favors simplicity over lock-free cleverness: one
  * mutex-protected queue, dynamic index claiming for load balance, and

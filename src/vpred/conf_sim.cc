@@ -5,8 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
-#include "fsmgen/predictor_fsm.hh"
 #include "fsmgen/profile.hh"
+#include "fsmgen/suffix_table.hh"
 #include "obs/metrics.hh"
 #include "support/bits.hh"
 
@@ -243,132 +243,31 @@ replaySudLanes(const CorrectnessStream &stream, const SudLanes &lanes,
     }
 }
 
-/** An FsmTable in compact form: uint16 successors, 0/1 outputs. */
-struct CompactFsm
-{
-    std::vector<uint16_t> next; ///< next[2 * state + correct]
-    std::vector<uint8_t> output;
-    uint16_t start = 0;
-};
-
+/**
+ * Compile an estimator's machine, within the 65535 states a per-entry
+ * uint16 state row holds.
+ */
 CompactFsm
-compileFsm(const FsmEstimator &estimator)
+compileEstimator(const FsmEstimator &estimator)
 {
     if (estimator.fsm == nullptr)
         throw std::invalid_argument("replayFsmConfidence: null machine");
-    const FsmTable table(*estimator.fsm);
-    const int n = table.numStates();
+    const int n = estimator.fsm->numStates();
     if (n < 1 || n > 65535) {
         throw std::invalid_argument(
             "replayFsmConfidence: " + estimator.label + " has " +
             std::to_string(n) + " states (needs 1..65535)");
     }
-    const auto state = [&](int s) {
-        if (s < 0 || s >= n) {
-            throw std::invalid_argument("replayFsmConfidence: " +
-                                        estimator.label +
-                                        " has an undefined transition");
-        }
-        return static_cast<uint16_t>(s);
-    };
-    CompactFsm fsm;
-    fsm.next.resize(static_cast<size_t>(n) * 2);
-    fsm.output.resize(static_cast<size_t>(n));
-    for (int s = 0; s < n; ++s) {
-        fsm.next[static_cast<size_t>(s) * 2] = state(table.next(s, 0));
-        fsm.next[static_cast<size_t>(s) * 2 + 1] = state(table.next(s, 1));
-        fsm.output[static_cast<size_t>(s)] = table.output(s) != 0 ? 1 : 0;
-    }
-    fsm.start = state(table.start());
-    return fsm;
-}
-
-/** Deepest history the suffix table replays: 2^17 histogram cells. */
-constexpr int kMaxTableIndex = 16;
-
-/**
- * The index d of @p fsm if the machine is d-definite - after any d
- * inputs its state depends only on those inputs - and the suffix table
- * pays for it on a stream of @p length loads: d <= kMaxTableIndex,
- * 2^(d+1) <= length, and at most length state steps spent finding d.
- * -1 otherwise. Walks the image of the whole state set down every input
- * word, depth first, until each branch reaches a single state; d is the
- * deepest such branch.
- */
-int
-definiteIndex(const CompactFsm &fsm, size_t length)
-{
-    const size_t n = fsm.output.size();
-    if (length < 2)
-        return -1;
-    if (n == 1)
-        return 0;
-    int limit = 0; // deepest index with 2^(limit+1) <= length
-    while (limit < kMaxTableIndex && (size_t{4} << limit) <= length)
-        ++limit;
-    if (limit == 0)
-        return -1;
-
-    // images[k]: image of every state under the current word's first k
-    // inputs; nextBit[k]: the input to try next below it.
-    std::vector<std::vector<uint16_t>> images(static_cast<size_t>(limit) +
-                                              1);
-    std::vector<int> nextBit(images.size(), 0);
-    images[0].resize(n);
-    for (size_t s = 0; s < n; ++s)
-        images[0][s] = static_cast<uint16_t>(s);
-    std::vector<uint32_t> seen(n, 0);
-    uint32_t stamp = 0;
-    size_t steps = 0;
-    int index = 0;
-    int depth = 0;
-    while (depth >= 0) {
-        const size_t k = static_cast<size_t>(depth);
-        if (nextBit[k] == 2) {
-            --depth;
-            continue;
-        }
-        const unsigned bit = static_cast<unsigned>(nextBit[k]++);
-        std::vector<uint16_t> &child = images[k + 1];
-        child.clear();
-        ++stamp;
-        for (const uint16_t s : images[k]) {
-            const uint16_t t = fsm.next[2 * size_t{s} + bit];
-            if (seen[t] != stamp) {
-                seen[t] = stamp;
-                child.push_back(t);
-            }
-        }
-        steps += images[k].size();
-        if (steps > length)
-            return -1;
-        if (child.size() == 1) {
-            index = std::max(index, depth + 1);
-            continue;
-        }
-        // A wider image one input deeper means d > depth + 1.
-        if (depth + 1 >= limit)
-            return -1;
-        ++depth;
-        nextBit[k + 1] = 0;
-    }
-    return index;
+    return compileFsm(*estimator.fsm,
+                      "replayFsmConfidence: " + estimator.label);
 }
 
 /**
- * Loads per history over a stream: cell h counts the loads whose entry
- * had history h before the load, and how many of them were correct. A
- * history is the entry's outcomes so far, newest in bit 0, under a 1
- * sentinel bit; once it holds `depth` outcomes it keeps only the last
- * `depth`.
+ * Loads per history over a stream (fsmgen/suffix_table.hh): cell h
+ * counts the loads whose entry had history h before the load, and how
+ * many of them were correct. An entry's history is its outcomes so far;
+ * once it holds `depth` outcomes it keeps only the last `depth`.
  */
-struct SuffixCounts
-{
-    int depth = 0;
-    std::vector<uint64_t> loads;
-    std::vector<uint64_t> correct;
-};
-
 SuffixCounts
 countSuffixes(const CorrectnessStream &stream, int depth)
 {
@@ -376,44 +275,20 @@ countSuffixes(const CorrectnessStream &stream, int depth)
     const uint32_t cells = top << 1;
     SuffixCounts counts;
     counts.depth = depth;
-    counts.loads.assign(cells, 0);
-    counts.correct.assign(cells, 0);
+    counts.count.assign(cells, 0);
+    counts.ones.assign(cells, 0);
     std::vector<uint32_t> history(stream.entries, 1);
     const uint32_t *entries = stream.entry.data();
     for (size_t i = 0; i < stream.size(); ++i) {
         uint32_t &h = history[entries[i]];
         const uint32_t correct = stream.correctAt(i) ? 1 : 0;
-        ++counts.loads[h];
-        counts.correct[h] += correct;
+        ++counts.count[h];
+        counts.ones[h] += correct;
         h = (h << 1) | correct;
         if (h >= cells)
             h = (h & (top - 1)) | top;
     }
     return counts;
-}
-
-/**
- * Tally a definite machine of index <= counts.depth from the history
- * counts: walk the trie of histories from the start state and credit
- * every history whose state marks confident. Below counts.depth a
- * history is the entry's whole past; at counts.depth its last inputs
- * already fix the state, whatever came before.
- */
-void
-tallySuffixes(const CompactFsm &fsm, const SuffixCounts &counts,
-              uint16_t state, uint32_t history, int level,
-              ConfidenceResult &result)
-{
-    if (fsm.output[state] != 0) {
-        result.confident += counts.loads[history];
-        result.confidentCorrect += counts.correct[history];
-    }
-    if (level == counts.depth)
-        return;
-    for (uint32_t bit = 0; bit < 2; ++bit) {
-        tallySuffixes(fsm, counts, fsm.next[2 * size_t{state} + bit],
-                      (history << 1) | bit, level + 1, result);
-    }
 }
 
 /** Step @p fsm across the stream, one state per entry. */
@@ -422,9 +297,10 @@ stepFsm(const CorrectnessStream &stream, const CompactFsm &fsm,
         ConfidenceResult &result)
 {
     const uint32_t *entries = stream.entry.data();
-    const uint16_t *next = fsm.next.data();
+    const uint32_t *next = fsm.next.data();
     const uint8_t *output = fsm.output.data();
-    std::vector<uint16_t> states(stream.entries, fsm.start);
+    std::vector<uint16_t> states(stream.entries,
+                                 static_cast<uint16_t>(fsm.start));
     uint64_t confident = 0;
     uint64_t confidentCorrect = 0;
     for (size_t i = 0; i < stream.size(); ++i) {
@@ -433,7 +309,7 @@ stepFsm(const CorrectnessStream &stream, const CompactFsm &fsm,
         const unsigned mark = output[state];
         confident += mark;
         confidentCorrect += mark & correct;
-        state = next[2 * size_t{state} + correct];
+        state = static_cast<uint16_t>(next[2 * size_t{state} + correct]);
     }
     result.confident = confident;
     result.confidentCorrect = confidentCorrect;
@@ -570,7 +446,7 @@ replayFsmConfidence(const CorrectnessStream &stream,
     std::vector<CompactFsm> machines;
     machines.reserve(estimators.size());
     for (const FsmEstimator &estimator : estimators)
-        machines.push_back(compileFsm(estimator));
+        machines.push_back(compileEstimator(estimator));
 
     StageTimer timer(engineTelemetry().replayMillis);
     // Definite machines are tallied from one count of the stream's
@@ -590,7 +466,9 @@ replayFsmConfidence(const CorrectnessStream &stream,
         r.loads = stream.size();
         r.correct = stream.correct;
         if (index[k] >= 0) {
-            tallySuffixes(machines[k], counts, machines[k].start, 1, 0, r);
+            const SuffixTally tally = tallySuffixes(machines[k], counts);
+            r.confident = tally.marked;
+            r.confidentCorrect = tally.markedOnes;
             engineTelemetry().tableReplays.inc();
         } else {
             stepFsm(stream, machines[k], r);

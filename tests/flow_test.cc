@@ -3,7 +3,8 @@
  * Tests of the batch design pipeline: the thread-pool utilities, the
  * stage-oriented DesignFlow (equivalence with the runDesignRequest API),
  * and the BatchDesigner guarantees — thread-count-invariant determinism,
- * memo-cache reuse of identical models, and per-item failure isolation.
+ * memo-cache reuse of identical models, per-item failure isolation, and
+ * the evaluation stage's replay of each designed machine.
  */
 
 #include <gtest/gtest.h>
@@ -18,12 +19,15 @@
 #include <thread>
 
 #include "automata/regex.hh"
+#include "flow/api.hh"
 #include "flow/batch.hh"
 #include "flow/design_flow.hh"
 #include "fsmgen/designer.hh"
 #include "fsmgen/profile.hh"
 #include "support/rng.hh"
 #include "support/thread_pool.hh"
+
+#include "reference_replay.hh"
 
 namespace autofsm
 {
@@ -66,6 +70,16 @@ syntheticTraces(size_t count, size_t length)
         traces.push_back(std::move(trace));
     }
     return traces;
+}
+
+std::vector<int>
+randomOutcomes(size_t n, uint64_t seed, double taken_bias = 0.5)
+{
+    Rng rng(seed);
+    std::vector<int> outcomes(n);
+    for (size_t i = 0; i < n; ++i)
+        outcomes[i] = rng.uniform() < taken_bias ? 1 : 0;
+    return outcomes;
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce)
@@ -576,6 +590,112 @@ TEST(FlowTraceTest, StageNamesRoundTrip)
     }
     EXPECT_FALSE(flowStageFromName("no-such-stage").has_value());
     EXPECT_FALSE(flowStageFromName("").has_value());
+}
+
+// --- The batch evaluation stage. -----------------------------------------
+
+TEST(BatchEvaluate, InlineOutcomesReportDenseMisses)
+{
+    const std::vector<int> outcomes = randomOutcomes(4000, 91, 0.8);
+
+    DesignRequest request;
+    request.id = 7;
+    request.outcomes = outcomes;
+    request.options.order = 4;
+    request.evaluate = true;
+
+    BatchDesigner designer;
+    const std::vector<BatchItemResult> results =
+        designer.designRequests({request});
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_TRUE(results[0].ok) << results[0].error;
+    ASSERT_TRUE(results[0].evaluated);
+    EXPECT_EQ(results[0].evalBranches, outcomes.size());
+    EXPECT_EQ(results[0].evalMisses,
+              referenceMisses(results[0].flow.design.fsm, outcomes,
+                              nullptr));
+    EXPECT_EQ(designer.stats().evaluated, 1u);
+
+    // The response carries the numbers and round-trips through JSON.
+    const DesignResponse response =
+        designResponseFromItem(request, results[0]);
+    EXPECT_TRUE(response.evaluated);
+    EXPECT_EQ(response.evalBranches, outcomes.size());
+    EXPECT_EQ(response.evalMisses, results[0].evalMisses);
+    const DesignResponse parsed =
+        designResponseFromJson(toJson(response));
+    EXPECT_TRUE(parsed.evaluated);
+    EXPECT_EQ(parsed.evalBranches, response.evalBranches);
+    EXPECT_EQ(parsed.evalMisses, response.evalMisses);
+}
+
+TEST(BatchEvaluate, MatchesSingleRequestService)
+{
+    const std::vector<int> outcomes = randomOutcomes(3000, 101, 0.3);
+    DesignRequest request;
+    request.outcomes = outcomes;
+    request.options.order = 3;
+    request.evaluate = true;
+
+    const DesignResponse single = designService(request);
+    ASSERT_TRUE(single.ok) << single.error.detail;
+    ASSERT_TRUE(single.evaluated);
+
+    BatchDesigner designer;
+    const std::vector<BatchItemResult> results =
+        designer.designRequests({request});
+    ASSERT_TRUE(results[0].ok);
+    EXPECT_EQ(results[0].evalBranches, single.evalBranches);
+    EXPECT_EQ(results[0].evalMisses, single.evalMisses);
+}
+
+TEST(BatchEvaluate, DedupedDuplicatesStillEvaluate)
+{
+    const std::vector<int> outcomes = randomOutcomes(2500, 111, 0.6);
+    DesignRequest request;
+    request.outcomes = outcomes;
+    request.options.order = 3;
+    request.evaluate = true;
+
+    BatchDesigner designer;
+    const std::vector<BatchItemResult> results =
+        designer.designRequests({request, request, request});
+    ASSERT_EQ(results.size(), 3u);
+    for (const BatchItemResult &result : results) {
+        ASSERT_TRUE(result.ok);
+        ASSERT_TRUE(result.evaluated);
+        EXPECT_EQ(result.evalMisses, results[0].evalMisses);
+        EXPECT_EQ(result.evalBranches, outcomes.size());
+    }
+    EXPECT_EQ(designer.stats().cacheHits, 2u);
+    EXPECT_EQ(designer.stats().evaluated, 3u);
+}
+
+TEST(BatchEvaluate, RequestJsonRoundTripsEvaluateFlag)
+{
+    DesignRequest request;
+    request.outcomes = {1, 0, 1, 1};
+    request.evaluate = true;
+    const DesignRequest parsed = designRequestFromJson(toJson(request));
+    EXPECT_TRUE(parsed.evaluate);
+
+    DesignRequest plain;
+    plain.outcomes = {1, 0};
+    const std::string json = toJson(plain);
+    EXPECT_EQ(json.find("evaluate"), std::string::npos);
+    EXPECT_FALSE(designRequestFromJson(json).evaluate);
+}
+
+TEST(BatchEvaluate, ModelSourceRejectsEvaluate)
+{
+    DesignRequest request;
+    request.model = MarkovModel(3);
+    request.evaluate = true;
+    EXPECT_THROW(request.validate(), std::invalid_argument);
+    // The non-throwing entry point classifies it instead.
+    const DesignResponse response = designService(request);
+    EXPECT_FALSE(response.ok);
+    EXPECT_EQ(response.error.kind, "invalid-input");
 }
 
 } // anonymous namespace

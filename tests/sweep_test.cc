@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -25,6 +26,7 @@
 #include "bpred/simulate.hh"
 #include "bpred/trainer.hh"
 #include "fsmgen/predictor_fsm.hh"
+#include "fsmgen/suffix_table.hh"
 #include "obs/metrics.hh"
 #include "sim/figure5.hh"
 #include "sim/sweep.hh"
@@ -205,7 +207,7 @@ TEST(CustomReplayTest, MatchesDirectMachineStepping)
     for (const auto &branch : trained)
         sweep_machines.push_back({branch.pc, &branch.design.fsm});
     const CustomReplayCounts counts = replayCustomMachines(
-        sweep_machines, train, btb_config, costs, 1);
+        sweep_machines, train, btb_config, costs);
 
     EXPECT_EQ(counts.btbMissesTotal, btb_misses_total);
     EXPECT_EQ(counts.btbMisses, btb_misses);
@@ -234,7 +236,7 @@ TEST(CustomReplayTest, ProfileDrivenReplayMatchesBtbPass)
 
     const AreaCosts costs;
     const CustomReplayCounts from_pass = replayCustomMachines(
-        machines, train, options.baseline, costs, 1);
+        machines, train, options.baseline, costs);
 
     CustomBaselineProfile baseline;
     baseline.btbMissesTotal = profile.mispredicts;
@@ -247,7 +249,7 @@ TEST(CustomReplayTest, ProfileDrivenReplayMatchesBtbPass)
         baseline.positions.push_back(&branch.trainPositions);
     }
     const CustomReplayCounts from_profile =
-        replayCustomMachines(machines, train, baseline, 1);
+        replayCustomMachines(machines, train, baseline);
 
     EXPECT_EQ(from_pass.btbMissesTotal, from_profile.btbMissesTotal);
     EXPECT_EQ(from_pass.btbMisses, from_profile.btbMisses);
@@ -256,6 +258,69 @@ TEST(CustomReplayTest, ProfileDrivenReplayMatchesBtbPass)
     EXPECT_EQ(from_pass.btbName, from_profile.btbName);
     EXPECT_EQ(from_pass.btbLookups, from_profile.btbLookups);
     EXPECT_EQ(from_pass.btbHits, from_profile.btbHits);
+}
+
+// A profile that does not describe every machine, or whose positions
+// fall outside the trace or out of order, must be rejected: padding or
+// dropping entries would give a wrong curve with no error.
+TEST(CustomReplayTest, RejectsMalformedBaselineProfile)
+{
+    PackedTraceBuilder builder(10);
+    for (int i = 0; i < 10; ++i)
+        builder.push(0x400, i % 3 == 0);
+    const PackedTrace trace = builder.finish();
+    const Dfa counter = Dfa::saturatingCounter(2);
+    const std::vector<CustomSweepMachine> machines = {{0x400, &counter}};
+
+    const std::vector<uint32_t> good = {0, 4, 9};
+    CustomBaselineProfile baseline;
+    baseline.btbMisses = {1};
+    baseline.positions = {&good};
+    EXPECT_NO_THROW(replayCustomMachines(machines, trace, baseline));
+
+    CustomBaselineProfile short_misses = baseline;
+    short_misses.btbMisses.clear();
+    EXPECT_THROW(replayCustomMachines(machines, trace, short_misses),
+                 std::invalid_argument);
+    CustomBaselineProfile long_misses = baseline;
+    long_misses.btbMisses = {1, 2};
+    EXPECT_THROW(replayCustomMachines(machines, trace, long_misses),
+                 std::invalid_argument);
+    CustomBaselineProfile null_positions = baseline;
+    null_positions.positions = {nullptr};
+    EXPECT_THROW(replayCustomMachines(machines, trace, null_positions),
+                 std::invalid_argument);
+
+    for (const std::vector<uint32_t> &positions :
+         {std::vector<uint32_t>{700}, std::vector<uint32_t>{2, 10},
+          std::vector<uint32_t>{4, 4}, std::vector<uint32_t>{5, 1}}) {
+        CustomBaselineProfile bad = baseline;
+        bad.positions = {&positions};
+        EXPECT_THROW(replayCustomMachines(machines, trace, bad),
+                     std::invalid_argument)
+            << positions.front() << ", " << positions.back();
+    }
+}
+
+// Every machine Figure 5 trains is definite within the suffix table's
+// budget, so its replays never fall back to stepping every record.
+TEST(CustomReplayTest, DesignedMachinesTakeTheSuffixTable)
+{
+    const CustomTrainingOptions options;
+    for (const std::string &name : branchBenchmarkNames()) {
+        const std::shared_ptr<const PackedTrace> train =
+            cachedBranchTrace(name, WorkloadInput::Train, kBranches);
+        const std::vector<TrainedBranch> trained =
+            trainCustomPredictors(*train, options);
+        ASSERT_FALSE(trained.empty()) << name;
+        for (const TrainedBranch &branch : trained) {
+            const int index = definiteIndex(
+                compileFsm(branch.design.fsm, name), train->size());
+            EXPECT_GE(index, 0) << name << " pc " << branch.pc;
+            EXPECT_LE(index, options.historyLength)
+                << name << " pc " << branch.pc;
+        }
+    }
 }
 
 /** Series must agree bit for bit, label for label. */
