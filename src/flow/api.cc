@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "automata/dfa_io.hh"
 #include "fsmgen/profile.hh"
@@ -20,7 +22,7 @@ namespace
 std::atomic<TraceRefResolver> g_traceResolver{nullptr};
 
 /** Resolve request.traceRef through the installed resolver. */
-std::shared_ptr<const PackedTrace>
+OutcomeWords
 resolveTraceRef(const DesignRequest &request)
 {
     const TraceRefResolver resolver =
@@ -31,6 +33,80 @@ resolveTraceRef(const DesignRequest &request)
             "' given but no trace resolver is installed");
     }
     return resolver(request.traceRef, request.traceBranches);
+}
+
+/** Markov-table bytes the trace-ref model memo may hold in total. */
+constexpr size_t kModelMemoBytes = size_t{8} << 20;
+
+/**
+ * Trace-ref models by (traceRef, traceBranches, order). An entry is
+ * valid only while the resolver hands back the stream owner it was
+ * profiled from: a cleared trace cache or another resolver yields a new
+ * owner, and the entry is recomputed. Entries whose owner has died are
+ * purged on every store, and the least-recently-used ones are evicted
+ * to keep the tables under kModelMemoBytes.
+ */
+struct ModelMemo
+{
+    struct Entry
+    {
+        std::weak_ptr<const void> owner;
+        std::shared_ptr<const MarkovModel> model;
+        size_t bytes = 0;
+        uint64_t lastUse = 0;
+    };
+
+    std::mutex mutex;
+    std::unordered_map<std::string, Entry> entries;
+    size_t bytes = 0;
+    uint64_t clock = 0;
+
+    std::shared_ptr<const MarkovModel>
+    find(const std::string &key, const std::shared_ptr<const void> &owner)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        const auto it = entries.find(key);
+        if (it == entries.end() || it->second.owner.lock() != owner)
+            return nullptr;
+        it->second.lastUse = ++clock;
+        return it->second.model;
+    }
+
+    void
+    store(const std::string &key, const std::shared_ptr<const void> &owner,
+          std::shared_ptr<const MarkovModel> model)
+    {
+        const size_t model_bytes = model->approxTableBytes();
+        if (model_bytes > kModelMemoBytes)
+            return;
+        std::lock_guard<std::mutex> lock(mutex);
+        for (auto it = entries.begin(); it != entries.end();) {
+            if (it->first == key || it->second.owner.expired()) {
+                bytes -= it->second.bytes;
+                it = entries.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        while (!entries.empty() && bytes + model_bytes > kModelMemoBytes) {
+            auto victim = entries.begin();
+            for (auto it = entries.begin(); it != entries.end(); ++it) {
+                if (it->second.lastUse < victim->second.lastUse)
+                    victim = it;
+            }
+            bytes -= victim->second.bytes;
+            entries.erase(victim);
+        }
+        bytes += model_bytes;
+        entries[key] = Entry{owner, std::move(model), model_bytes, ++clock};
+    }
+};
+
+ModelMemo &
+modelMemo()
+{
+    static ModelMemo memo;
+    return memo;
 }
 
 constexpr int kMinOrder = 1;
@@ -310,19 +386,33 @@ traceRefResolver()
     return g_traceResolver.load(std::memory_order_acquire);
 }
 
-MarkovModel
+std::shared_ptr<const MarkovModel>
 resolveRequestModel(const DesignRequest &request)
 {
     request.validate();
+    const int order = request.options.order;
     if (request.model)
-        return *request.model;
-    if (!request.traceRef.empty()) {
-        const std::shared_ptr<const PackedTrace> trace =
-            resolveTraceRef(request);
-        return trainMarkovModelWords(trace->takenWords().data(),
-                                     trace->size(), request.options.order);
+        return std::make_shared<const MarkovModel>(*request.model);
+    if (request.traceRef.empty()) {
+        return std::make_shared<const MarkovModel>(
+            trainMarkovModel(request.outcomes, order));
     }
-    return trainMarkovModel(request.outcomes, request.options.order);
+    const OutcomeWords stream = resolveTraceRef(request);
+    auto train = [&] {
+        return std::make_shared<const MarkovModel>(
+            trainMarkovModelWords(stream.words.data(), stream.bits, order));
+    };
+    if (!stream.owner)
+        return train(); // nothing to tie an entry's validity to
+    const std::string key = request.traceRef + '\x1f' +
+        std::to_string(request.traceBranches) + '\x1f' +
+        std::to_string(order);
+    ModelMemo &memo = modelMemo();
+    if (auto model = memo.find(key, stream.owner))
+        return model;
+    std::shared_ptr<const MarkovModel> model = train();
+    memo.store(key, stream.owner, model);
+    return model;
 }
 
 OutcomeWords
@@ -338,8 +428,7 @@ resolveRequestOutcomes(const DesignRequest &request)
             "DesignRequest: no outcome stream to evaluate (source is a "
             "pre-trained model)");
     }
-    std::shared_ptr<const PackedTrace> trace = resolveTraceRef(request);
-    return {trace->takenWords(), trace->size(), std::move(trace)};
+    return resolveTraceRef(request);
 }
 
 FlowResult
@@ -351,8 +440,8 @@ runDesignRequest(const DesignRequest &request)
         return flow.run(*request.model);
     if (!request.outcomes.empty())
         return flow.runOnTrace(request.outcomes);
-    const std::shared_ptr<const PackedTrace> trace = resolveTraceRef(request);
-    return flow.runOnWords(trace->takenWords().data(), trace->size());
+    const OutcomeWords stream = resolveTraceRef(request);
+    return flow.runOnWords(stream.words.data(), stream.bits);
 }
 
 DesignResponse

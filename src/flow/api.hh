@@ -205,15 +205,23 @@ struct DesignResponse
 
 /**
  * Resolver for DesignRequest::traceRef, mapping (name, approx branches)
- * to a shared branch trace whose outcome words are the behavior stream.
- * A plain function pointer so installation is a single atomic store;
- * the default (none installed) makes traceRef requests fail
- * invalid-input. serve::installWorkloadTraceResolver() installs the
- * synthetic branch-workload resolver, which hands out the trace cache's
- * entries as is.
+ * to the referenced trace's outcome stream (OutcomeWords,
+ * trace/packed_trace.hh): the flow profiles and replays directions
+ * only, so a resolver need not hold any pcs. The returned @c owner
+ * keeps @c words alive and names the stream's identity: as long as a
+ * resolver hands back the same owner for a (ref, branches) pair, the
+ * stream is taken to be unchanged, and resolveRequestModel may reuse
+ * the model it profiled from it. A resolver must therefore return a
+ * new owner whenever the content may have changed (an owner-less
+ * stream is never memoized). A plain function pointer so installation
+ * is a single atomic store; the default (none installed) makes
+ * traceRef requests fail invalid-input.
+ * serve::installWorkloadTraceResolver() installs the synthetic
+ * branch-workload resolver over the trace cache's outcome-only entries
+ * (cachedBranchOutcomes).
  */
-using TraceRefResolver = std::shared_ptr<const PackedTrace> (*)(
-    const std::string &ref, uint64_t approxBranches);
+using TraceRefResolver = OutcomeWords (*)(const std::string &ref,
+                                          uint64_t approxBranches);
 
 /** Install @p resolver process-wide (nullptr uninstalls). */
 void setTraceRefResolver(TraceRefResolver resolver);
@@ -228,20 +236,17 @@ TraceRefResolver traceRefResolver();
  * (trainMarkovModelWords, no unpacking). Used by the batch pipeline so
  * identical behaviors dedupe before design.
  *
+ * Trace-ref models are memoized process-wide by (traceRef,
+ * traceBranches, order). The ref is resolved on every call, and an
+ * entry is used only while the resolver returns the owner it was
+ * profiled from (see TraceRefResolver), so clearing the trace cache or
+ * installing another resolver forces a fresh profile. The memo's
+ * tables are capped at a fixed total size.
+ *
  * @throws std::invalid_argument on validation failure or unknown ref.
  */
-MarkovModel resolveRequestModel(const DesignRequest &request);
-
-/**
- * A request's outcome stream in packed form (PackedTrace::takenWords
- * layout, @c bits outcomes); @c owner keeps @c words alive.
- */
-struct OutcomeWords
-{
-    std::span<const uint64_t> words;
-    size_t bits = 0;
-    std::shared_ptr<const void> owner;
-};
+std::shared_ptr<const MarkovModel>
+resolveRequestModel(const DesignRequest &request);
 
 /**
  * Resolve the request's outcome stream: the inline outcomes packed, or

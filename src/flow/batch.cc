@@ -182,7 +182,7 @@ BatchDesigner::designRequests(const std::vector<DesignRequest> &requests)
     // stage (trace resolution plus profiling), so it is observed into
     // the flow's markov histogram; a pre-trained model ran none.
     std::vector<BatchItemResult> results(requests.size());
-    std::vector<std::optional<MarkovModel>> models(requests.size());
+    std::vector<std::shared_ptr<const MarkovModel>> models(requests.size());
     runParallel(requests.size(), [&](size_t i) {
         obs::TracerBinding bind(tracer);
         obs::TraceContextScope context(requests[i].obsContext);

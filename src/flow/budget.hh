@@ -113,7 +113,11 @@ struct FlowBudget
     /** Max DFA states minted during subset construction (checked inside
      *  the construction loop, so an exploding subset stops early). */
     int maxDfaStates = 0;
-    /** Max EXPAND/IRREDUNDANT/REDUCE iterations of the espresso loop. */
+    /** Cap on the EXPAND/IRREDUNDANT/REDUCE iterations of the espresso
+     *  loop. It can only cut work: the loop runs min(limit, Espresso's
+     *  default of EspressoOptions{}.maxIterations = 4), so 64 and 0 both
+     *  mean 4. A limit below the default that stops the loop before it
+     *  converges marks the run degraded ("minimize:iteration-cap"). */
     int maxEspressoIterations = 0;
     /** Max ON+DC minterms a minimization engine will accept. */
     size_t maxMinterms = 0;

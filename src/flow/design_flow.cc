@@ -8,6 +8,7 @@
 #include "automata/regex.hh"
 #include "flow/design_memo.hh"
 #include "fsmgen/profile.hh"
+#include "logicmin/espresso.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "support/failpoint.hh"
@@ -308,17 +309,22 @@ DesignFlow::runStages(const MarkovModel &model, FlowTrace trace,
     }
 
     // Cross-item stage memo: identical partitions share one tail
-    // execution. Eligibility requires an unlimited budget (finite
-    // budgets can change the tail's products) and no armed failpoint (a
-    // hit would mask the fault a test is injecting downstream). The
+    // execution, under any budget the entry fits (design_memo.hh). An
+    // armed failpoint bypasses it (a hit would mask the fault a test is
+    // injecting downstream), and so does an Espresso iteration cap
+    // below the default (entries do not record their iterations). The
     // failpoint evaluates before the armed() bypass so it can itself be
-    // driven.
+    // driven. A hit takes no time, so the deadline is not checked.
     AUTOFSM_FAILPOINT("flow.designmemo");
     std::optional<DesignMemoKey> memo_key;
-    if (options_.budget.unlimited() && !failpoint::armed()) {
+    const int iterations = options_.budget.maxEspressoIterations;
+    const bool iterations_capped =
+        iterations > 0 && iterations < EspressoOptions{}.maxIterations;
+    if (!iterations_capped && !failpoint::armed()) {
         memo_key = designMemoKey(result.patterns, options_.minimizer,
                                  options_.keepStartupStates);
-        if (const auto entry = designMemoLookup(*memo_key)) {
+        if (const auto entry =
+                designMemoLookup(*memo_key, options_.budget)) {
             result.cover = entry->cover;
             result.regexText = entry->regexText;
             result.beforeReduction = entry->beforeReduction;
@@ -355,7 +361,11 @@ DesignFlow::runStages(const MarkovModel &model, FlowTrace trace,
         limits.maxMinterms = options_.budget.maxMinterms;
         try {
             AUTOFSM_FAILPOINT("flow.minimize");
-            result.cover = minimize(table, options_.minimizer, limits);
+            bool capped = false;
+            result.cover =
+                minimize(table, options_.minimizer, limits, &capped);
+            if (capped)
+                recordFallback(out.trace, "minimize", "iteration-cap");
         } catch (const FlowError &e) {
             if (e.kind() == ErrorKind::DeadlineExceeded)
                 throw;
@@ -444,7 +454,9 @@ DesignFlow::runStages(const MarkovModel &model, FlowTrace trace,
         automataFallback(result, out.trace);
     }
     // Only clean, fully computed tails are worth sharing: a degraded
-    // result reflects this run's failures, not the key's true product.
+    // result reflects this run's limits or failures, not the key's true
+    // product. A clean run under a finite budget computed exactly what
+    // an unlimited one would, so it stores too.
     if (memo_key && !out.trace.degraded()) {
         auto entry = std::make_shared<DesignMemoEntry>();
         entry->cover = result.cover;

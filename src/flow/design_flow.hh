@@ -144,7 +144,9 @@ struct FlowResult
  * failing where a cheaper product exists:
  *
  *  - minimizer failure or budget overrun falls back espresso ->
- *    Quine-McCluskey -> unminimized minterm cover;
+ *    Quine-McCluskey -> unminimized minterm cover; an Espresso
+ *    iteration cap below the default that stops the loop before it
+ *    converges keeps its cover but is recorded as a fallback too;
  *  - automata failure or budget overrun (NFA/DFA state budgets) falls
  *    back to the classic 2-bit saturating-counter machine
  *    (`Dfa::saturatingCounter`), the paper's baseline predictor.

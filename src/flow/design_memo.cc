@@ -1,9 +1,13 @@
 #include "flow/design_memo.hh"
 
+#include <algorithm>
+#include <iterator>
+#include <list>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
 
+#include "automata/regex.hh"
 #include "obs/metrics.hh"
 #include "store/store.hh"
 
@@ -70,20 +74,59 @@ memoTelemetry()
     return telemetry;
 }
 
-/** The process-wide memo: hash buckets with exact-key confirmation. */
+/**
+ * The process-wide memo: hash buckets with exact-key confirmation over
+ * one recency list (front = most recently used), so a full memo evicts
+ * its coldest entry instead of refusing new ones.
+ */
 struct Memo
 {
+    struct Record
+    {
+        DesignMemoKey key;
+        uint64_t hash = 0;
+        std::shared_ptr<const DesignMemoEntry> entry;
+    };
+    using Lru = std::list<Record>;
+
     std::mutex mutex;
-    std::unordered_map<
-        uint64_t,
-        std::vector<std::pair<DesignMemoKey,
-                              std::shared_ptr<const DesignMemoEntry>>>>
-        buckets;
-    size_t entries = 0;
+    Lru lru;
+    std::unordered_map<uint64_t, std::vector<Lru::iterator>> buckets;
     size_t capacity = 4096;
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t insertions = 0;
+    uint64_t evictions = 0;
+
+    /** The record holding @p key, or lru.end(). Caller holds the lock. */
+    Lru::iterator
+    find(const DesignMemoKey &key, uint64_t hash)
+    {
+        const auto it = buckets.find(hash);
+        if (it != buckets.end()) {
+            for (const Lru::iterator record : it->second) {
+                if (record->key == key)
+                    return record;
+            }
+        }
+        return lru.end();
+    }
+
+    /** Drop least-recently-used records until at most @p cap remain.
+     *  Caller holds the lock. */
+    void
+    shrinkTo(size_t cap)
+    {
+        while (lru.size() > cap) {
+            const Lru::iterator victim = std::prev(lru.end());
+            auto &bucket = buckets[victim->hash];
+            bucket.erase(std::find(bucket.begin(), bucket.end(), victim));
+            if (bucket.empty())
+                buckets.erase(victim->hash);
+            lru.erase(victim);
+            ++evictions;
+        }
+    }
 };
 
 Memo &
@@ -193,7 +236,10 @@ designMemoKey(const PatternSets &patterns, MinimizeAlgo minimizer,
 namespace
 {
 
-/** Insert into the memory tier only (shared by store and promotion). */
+/**
+ * Insert into the memory tier only (shared by store and promotion),
+ * evicting the least-recently-used entry when the memo is full.
+ */
 void
 insertMemory(DesignMemoKey key, uint64_t hash,
              std::shared_ptr<const DesignMemoEntry> entry)
@@ -202,39 +248,50 @@ insertMemory(DesignMemoKey key, uint64_t hash,
     size_t entries;
     {
         std::lock_guard<std::mutex> lock(m.mutex);
-        if (m.entries >= m.capacity)
-            return;
-        auto &bucket = m.buckets[hash];
-        for (const auto &[stored, existing] : bucket) {
-            if (stored == key)
-                return; // first store wins; entries are equivalent
-        }
-        bucket.emplace_back(std::move(key), std::move(entry));
-        ++m.entries;
+        if (m.capacity == 0 || m.find(key, hash) != m.lru.end())
+            return; // tier disabled, or first store wins (equivalent)
+        m.shrinkTo(m.capacity - 1);
+        m.lru.push_front({std::move(key), hash, std::move(entry)});
+        m.buckets[hash].push_back(m.lru.begin());
         ++m.insertions;
-        entries = m.entries;
+        entries = m.lru.size();
     }
     memoTelemetry().entries.set(static_cast<double>(entries));
+}
+
+/**
+ * Whether @p entry answers a run under @p budget: what computing it
+ * used fits every finite limit, so a fresh run under that budget would
+ * not have tripped any of them and would have produced the entry.
+ */
+bool
+fitsBudget(const DesignMemoKey &key, const DesignMemoEntry &entry,
+           const FlowBudget &budget)
+{
+    const size_t minterms = key.predictOne.size() + key.dontCare.size();
+    if (budget.maxMinterms > 0 && minterms > budget.maxMinterms)
+        return false;
+    if (budget.maxNfaStates > 0 &&
+        thompsonStateCount(entry.cover) > budget.maxNfaStates)
+        return false;
+    return budget.maxDfaStates <= 0 ||
+        entry.statesSubset <= budget.maxDfaStates;
 }
 
 } // anonymous namespace
 
 std::shared_ptr<const DesignMemoEntry>
-designMemoLookup(const DesignMemoKey &key)
+designMemoLookup(const DesignMemoKey &key, const FlowBudget &budget)
 {
     const uint64_t hash = hashKey(key);
     Memo &m = memo();
     std::shared_ptr<const DesignMemoEntry> found;
     {
         std::lock_guard<std::mutex> lock(m.mutex);
-        const auto it = m.buckets.find(hash);
-        if (it != m.buckets.end()) {
-            for (const auto &[stored, entry] : it->second) {
-                if (stored == key) {
-                    found = entry;
-                    break;
-                }
-            }
+        const Memo::Lru::iterator record = m.find(key, hash);
+        if (record != m.lru.end()) {
+            m.lru.splice(m.lru.begin(), m.lru, record);
+            found = record->entry;
         }
     }
     if (!found) {
@@ -244,6 +301,10 @@ designMemoLookup(const DesignMemoKey &key)
         if (found)
             insertMemory(key, hash, found);
     }
+    // An entry too big for this budget is a miss: the caller computes
+    // and degrades exactly as a run without the memo would.
+    if (found && !fitsBudget(key, *found, budget))
+        found = nullptr;
     {
         std::lock_guard<std::mutex> lock(m.mutex);
         if (found)
@@ -276,7 +337,8 @@ designMemoStats()
     stats.hits = m.hits;
     stats.misses = m.misses;
     stats.insertions = m.insertions;
-    stats.entries = m.entries;
+    stats.evictions = m.evictions;
+    stats.entries = m.lru.size();
     stats.capacity = m.capacity;
     return stats;
 }
@@ -288,10 +350,11 @@ clearDesignMemo()
     {
         std::lock_guard<std::mutex> lock(m.mutex);
         m.buckets.clear();
-        m.entries = 0;
+        m.lru.clear();
         m.hits = 0;
         m.misses = 0;
         m.insertions = 0;
+        m.evictions = 0;
     }
     memoTelemetry().entries.set(0.0);
 }
@@ -300,8 +363,14 @@ void
 designMemoSetCapacity(size_t capacity)
 {
     Memo &m = memo();
-    std::lock_guard<std::mutex> lock(m.mutex);
-    m.capacity = capacity;
+    size_t entries;
+    {
+        std::lock_guard<std::mutex> lock(m.mutex);
+        m.capacity = capacity;
+        m.shrinkTo(capacity);
+        entries = m.lru.size();
+    }
+    memoTelemetry().entries.set(static_cast<double>(entries));
 }
 
 } // namespace autofsm

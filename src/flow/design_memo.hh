@@ -16,11 +16,24 @@
  *
  * Entries are immutable and shared (`shared_ptr<const>`); a hit
  * hands back bit-identical artifacts to what the miss path computes.
- * The flow only consults the memo when the run's budget is unlimited
- * (finite budgets can legitimately alter the tail's products) and no
- * failpoint is armed (a memo hit would mask the injected fault the test
- * is driving). Hits and misses are counted in
- * `autofsm_designmemo_{hits,misses}_total`.
+ * Every budget consults the memo, because a finite budget can change a
+ * tail only by tripping one of its limits. An entry answers a budget
+ * when what computing it used fits each finite limit: its key's ON+DC
+ * minterm count within `maxMinterms`, its cover's Thompson state count
+ * within `maxNfaStates` and its `statesSubset` within `maxDfaStates`.
+ * Otherwise the lookup is a miss and the flow computes, degrading
+ * exactly as a run without the memo would. Entries are the products of
+ * non-degraded runs, so they do not depend on the budget that stored
+ * them. Two kinds of run bypass the memo entirely: one with a failpoint
+ * armed (a hit would mask the injected fault the test is driving), and
+ * one whose `maxEspressoIterations` is below Espresso's default (an
+ * entry does not record the iterations its cover took). A hit costs no
+ * time, so the deadline is never what rejects one. Hits and misses are
+ * counted in `autofsm_designmemo_{hits,misses}_total`.
+ *
+ * The memory tier holds at most `designMemoSetCapacity` entries and
+ * evicts the least-recently-used one to admit a new key, so a
+ * long-running daemon keeps learning its current working set.
  *
  * When a persistent store is installed (`store::setGlobalStore`, e.g.
  * the daemon's `--store-dir`), the memo is write-through: a store also
@@ -41,6 +54,7 @@
 #include <vector>
 
 #include "automata/dfa.hh"
+#include "flow/budget.hh"
 #include "fsmgen/patterns.hh"
 #include "logicmin/cover.hh"
 #include "logicmin/minimize.hh"
@@ -95,22 +109,25 @@ struct DesignMemoStats
 {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t insertions = 0; ///< stores accepted (entries can't exceed capacity)
+    uint64_t insertions = 0; ///< entries admitted to the memory tier
+    uint64_t evictions = 0;  ///< entries dropped by the LRU cap
     size_t entries = 0;
     size_t capacity = 0;
 };
 
 /**
- * Look @p key up; nullptr on miss. Thread-safe. Every call counts one
- * hit or one miss (call only for memo-eligible runs).
+ * Look @p key up for a run under @p budget; nullptr on a miss. An entry
+ * that exists but does not fit the budget (see the file comment) is a
+ * miss. Thread-safe. Every call counts one hit or one miss (call only
+ * for memo-eligible runs).
  */
 std::shared_ptr<const DesignMemoEntry>
-designMemoLookup(const DesignMemoKey &key);
+designMemoLookup(const DesignMemoKey &key, const FlowBudget &budget = {});
 
 /**
  * Insert @p entry under @p key. A duplicate store (two threads racing
- * on the same key) keeps the first entry; stores beyond the capacity
- * are dropped. Thread-safe.
+ * on the same key) keeps the first entry; a full memo evicts its
+ * least-recently-used entry to make room. Thread-safe.
  */
 void designMemoStore(DesignMemoKey key,
                      std::shared_ptr<const DesignMemoEntry> entry);
@@ -121,7 +138,10 @@ DesignMemoStats designMemoStats();
 /** Drop every entry and reset the tallies (tests and benches). */
 void clearDesignMemo();
 
-/** Change the entry cap (default 4096). Does not evict existing entries. */
+/**
+ * Change the entry cap (default 4096), evicting least-recently-used
+ * entries down to it. 0 disables the memory tier.
+ */
 void designMemoSetCapacity(size_t capacity);
 
 } // namespace autofsm

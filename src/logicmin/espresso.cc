@@ -345,9 +345,12 @@ costOf(const std::vector<Cube> &cubes)
 } // anonymous namespace
 
 Cover
-minimizeEspresso(const TruthTable &table, const EspressoOptions &options)
+minimizeEspresso(const TruthTable &table, const EspressoOptions &options,
+                 bool *exhausted)
 {
     AUTOFSM_FAILPOINT("logicmin.espresso");
+    if (exhausted)
+        *exhausted = false;
     Cover cover(table.numVars());
     const auto &on = table.onSet();
     if (on.empty())
@@ -362,6 +365,7 @@ minimizeEspresso(const TruthTable &table, const EspressoOptions &options)
 
     std::vector<Cube> best;
     int best_cost = -1;
+    bool converged = false;
     for (int iter = 0; iter < options.maxIterations; ++iter) {
         for (auto &cube : cubes)
             cube = planes.expand(cube);
@@ -373,11 +377,14 @@ minimizeEspresso(const TruthTable &table, const EspressoOptions &options)
             best = cubes;
             best_cost = cost;
         } else {
-            break; // converged: no improvement this round
+            converged = true; // no improvement this round
+            break;
         }
 
         cubes = planes.reduce(cubes);
     }
+    if (exhausted)
+        *exhausted = !converged;
 
     for (const auto &cube : best)
         cover.add(cube);

@@ -29,10 +29,14 @@ struct EspressoOptions
 /**
  * Minimize @p table heuristically.
  *
+ * @param exhausted When non-null, set to true when the loop spent all
+ *        options.maxIterations iterations still improving (it stopped
+ *        at the cap, not at convergence), false otherwise.
  * @return A verified cover; empty when the ON-set is empty.
  */
 Cover minimizeEspresso(const TruthTable &table,
-                       const EspressoOptions &options = {});
+                       const EspressoOptions &options = {},
+                       bool *exhausted = nullptr);
 
 } // namespace autofsm
 

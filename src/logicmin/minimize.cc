@@ -1,5 +1,6 @@
 #include "logicmin/minimize.hh"
 
+#include <algorithm>
 #include <string>
 
 #include "flow/budget.hh"
@@ -11,8 +12,10 @@ namespace autofsm
 
 Cover
 minimize(const TruthTable &table, MinimizeAlgo algo,
-         const MinimizeLimits &limits)
+         const MinimizeLimits &limits, bool *capped)
 {
+    if (capped)
+        *capped = false;
     if (limits.maxMinterms > 0) {
         const size_t minterms =
             table.onSet().size() + table.dontCareSet().size();
@@ -24,15 +27,29 @@ minimize(const TruthTable &table, MinimizeAlgo algo,
         }
     }
 
+    // The limit only ever cuts Espresso's own iteration count: a limit
+    // above the default must not buy a bounded request more work than
+    // an unlimited one gets.
     EspressoOptions espresso;
-    if (limits.maxEspressoIterations > 0)
-        espresso.maxIterations = limits.maxEspressoIterations;
+    if (limits.maxEspressoIterations > 0) {
+        espresso.maxIterations =
+            std::min(espresso.maxIterations, limits.maxEspressoIterations);
+    }
+    const bool below_default =
+        espresso.maxIterations < EspressoOptions{}.maxIterations;
+    auto heuristic = [&] {
+        bool exhausted = false;
+        Cover cover = minimizeEspresso(table, espresso, &exhausted);
+        if (capped)
+            *capped = exhausted && below_default;
+        return cover;
+    };
 
     switch (algo) {
       case MinimizeAlgo::Exact:
         return minimizeQuineMcCluskey(table);
       case MinimizeAlgo::Heuristic:
-        return minimizeEspresso(table, espresso);
+        return heuristic();
       case MinimizeAlgo::Auto:
       default:
         // QM's prime generation can blow up with many ON+DC minterms at
@@ -40,7 +57,7 @@ minimize(const TruthTable &table, MinimizeAlgo algo,
         // inside its comfort zone and covers most per-branch models.
         if (table.numVars() <= 8)
             return minimizeQuineMcCluskey(table);
-        return minimizeEspresso(table, espresso);
+        return heuristic();
     }
 }
 

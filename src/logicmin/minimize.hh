@@ -29,7 +29,9 @@ enum class MinimizeAlgo
 /** Resource limits for one minimize() call; zero means unlimited. */
 struct MinimizeLimits
 {
-    /** Max EXPAND/IRREDUNDANT/REDUCE iterations (espresso engine). */
+    /** Cap on the espresso engine's EXPAND/IRREDUNDANT/REDUCE
+     *  iterations: it runs min(EspressoOptions{}.maxIterations, limit),
+     *  so a limit never adds iterations; 0 is Espresso's own default. */
     int maxEspressoIterations = 0;
     /** Max ON+DC minterms the call will accept before starting. */
     size_t maxMinterms = 0;
@@ -41,13 +43,16 @@ struct MinimizeLimits
  * @param table ON/DC specification (OFF is implicit).
  * @param algo Engine selection; Auto uses the exact engine up to
  *        8 variables and the heuristic beyond that.
- * @param limits Optional resource budget; exceeding it raises a
- *        FlowError{"minimize", BudgetExceeded} (flow/budget.hh) so
+ * @param limits Optional resource budget; exceeding maxMinterms raises
+ *        a FlowError{"minimize", BudgetExceeded} (flow/budget.hh) so
  *        callers can degrade instead of stalling on a huge function.
+ * @param capped When non-null, set to true when an iteration cap below
+ *        Espresso's default stopped the heuristic before it converged,
+ *        i.e. the cover may differ from an uncapped call's.
  * @return A cover verified to implement the function.
  */
 Cover minimize(const TruthTable &table, MinimizeAlgo algo = MinimizeAlgo::Auto,
-               const MinimizeLimits &limits = {});
+               const MinimizeLimits &limits = {}, bool *capped = nullptr);
 
 /**
  * The degenerate rock-bottom "minimization": one fully-specified cube

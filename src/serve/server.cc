@@ -129,7 +129,7 @@ countRequest(const std::string &tenant, RequestClass klass,
     }
 }
 
-std::shared_ptr<const PackedTrace>
+OutcomeWords
 resolveWorkloadTrace(const std::string &ref, uint64_t approxBranches)
 {
     std::string name = ref;
@@ -146,7 +146,8 @@ resolveWorkloadTrace(const std::string &ref, uint64_t approxBranches)
                                         "': input must be train or test");
         }
     }
-    return cachedBranchTrace(name, input, static_cast<size_t>(approxBranches));
+    return cachedBranchOutcomes(name, input,
+                                static_cast<size_t>(approxBranches));
 }
 
 } // anonymous namespace

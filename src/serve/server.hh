@@ -250,9 +250,13 @@ class Server
 /**
  * Install the synthetic branch-workload resolver as the process's
  * TraceRefResolver: "compress" (or "compress:train" / "compress:test")
- * resolves to that benchmark's trace in the workloads trace cache, shared
- * as is. Called by the daemon and bench mains; the flow library itself
- * stays independent of the workloads layer.
+ * resolves to the outcome words of that benchmark's trace, held by the
+ * workloads trace cache as an outcome-only entry (cachedBranchOutcomes:
+ * no pc array stays cached for a trace ref). The entry's owner is the
+ * stream identity the flow's model memo checks, so it changes exactly
+ * when the cache rebuilds the entry (after eviction or
+ * clearBranchTraceCache). Called by the daemon and bench mains; the
+ * flow library itself stays independent of the workloads layer.
  */
 void installWorkloadTraceResolver();
 

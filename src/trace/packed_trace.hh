@@ -154,6 +154,18 @@ class PackedTraceBuilder
     std::vector<uint64_t> taken_;
 };
 
+/**
+ * An outcome stream without its pcs: @c bits outcomes in
+ * PackedTrace::takenWords layout; @c owner keeps @c words alive. It is
+ * all a Markov profile or a custom-FSM replay reads of a trace.
+ */
+struct OutcomeWords
+{
+    std::span<const uint64_t> words;
+    size_t bits = 0;
+    std::shared_ptr<const void> owner;
+};
+
 /** Per-static-branch execution summary. */
 struct BranchProfileEntry
 {

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hh"
 #include "store/store.hh"
@@ -19,11 +20,24 @@ namespace
 
 using TracePtr = std::shared_ptr<const PackedTrace>;
 
+/** One entry's product: a whole trace, or only its outcome words. */
+struct Cached
+{
+    TracePtr trace;
+    OutcomeWords outcomes;
+
+    size_t
+    branches() const
+    {
+        return trace ? trace->size() : outcomes.bits;
+    }
+};
+
 struct TraceCache
 {
     struct Entry
     {
-        std::shared_future<TracePtr> future;
+        std::shared_future<Cached> future;
         /** Logical clock of the last lookup, for LRU eviction. */
         uint64_t lastUse = 0;
     };
@@ -105,12 +119,12 @@ publishCacheCounters(bool hit)
     if (hit) {
         registry
             .counter("autofsm_trace_cache_hits_total",
-                     "cachedBranchTrace calls served from the cache.")
+                     "Trace-cache lookups served from the cache.")
             .inc();
     } else {
         registry
             .counter("autofsm_trace_cache_misses_total",
-                     "cachedBranchTrace calls that built a new trace.")
+                     "Trace-cache lookups that built a new entry.")
             .inc();
     }
 }
@@ -162,17 +176,18 @@ saveTraceToStore(const std::string &key, const PackedTrace &trace)
     }
 }
 
-} // anonymous namespace
-
-std::shared_ptr<const PackedTrace>
-cachedBranchTrace(const std::string &name, WorkloadInput input,
-                  size_t approx_branches)
+/**
+ * The one lookup path of both entry kinds: a hit touches the entry's
+ * LRU clock; a miss installs a future, runs @p build outside the lock
+ * and fulfills it, so concurrent callers of @p key share one build.
+ */
+template <typename Build>
+Cached
+lookup(const std::string &key, const Build &build)
 {
     TraceCache &c = cache();
-    const std::string key = cacheKey(name, input, approx_branches);
-
-    std::shared_future<TracePtr> future;
-    std::promise<TracePtr> promise;
+    std::shared_future<Cached> future;
+    std::promise<Cached> promise;
     bool creator = false;
     size_t dropped = 0;
     {
@@ -197,21 +212,7 @@ cachedBranchTrace(const std::string &name, WorkloadInput input,
     if (creator) {
         try {
             AUTOFSM_FAILPOINT("workloads.trace_build");
-            // Disk tier first: a persisted trace skips the workload
-            // model entirely. Misses (and any store failure)
-            // build as before, then spill best-effort for next time.
-            TracePtr built = loadTraceFromStore(key);
-            if (!built) {
-                const auto start = std::chrono::steady_clock::now();
-                built = std::make_shared<const PackedTrace>(
-                    makeBranchTrace(name, input, approx_branches));
-                observeTraceBuildMillis(
-                    std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - start)
-                        .count());
-                saveTraceToStore(key, *built);
-            }
-            promise.set_value(std::move(built));
+            promise.set_value(build());
         } catch (...) {
             // Don't cache the failure: the entry must be erased BEFORE
             // the promise is fulfilled. In the other order a concurrent
@@ -226,6 +227,69 @@ cachedBranchTrace(const std::string &name, WorkloadInput input,
         }
     }
     return future.get();
+}
+
+/**
+ * The whole trace of @p key's triple. Disk tier first: a persisted
+ * trace skips the workload model entirely. Misses (and any store
+ * failure) generate, timed, then spill best-effort for next time.
+ */
+TracePtr
+loadOrGenerate(const std::string &key, const std::string &name,
+               WorkloadInput input, size_t approx_branches)
+{
+    if (TracePtr stored = loadTraceFromStore(key))
+        return stored;
+    const auto start = std::chrono::steady_clock::now();
+    auto trace = std::make_shared<const PackedTrace>(
+        makeBranchTrace(name, input, approx_branches));
+    observeTraceBuildMillis(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+    saveTraceToStore(key, *trace);
+    return trace;
+}
+
+/** A private copy of @p words, so the caller can drop their owner. */
+OutcomeWords
+copyOutcomes(std::span<const uint64_t> words, size_t bits)
+{
+    auto owned = std::make_shared<const std::vector<uint64_t>>(
+        words.begin(), words.end());
+    return {*owned, bits, owned};
+}
+
+} // anonymous namespace
+
+std::shared_ptr<const PackedTrace>
+cachedBranchTrace(const std::string &name, WorkloadInput input,
+                  size_t approx_branches)
+{
+    const std::string key = cacheKey(name, input, approx_branches);
+    return lookup(key, [&] {
+               return Cached{loadOrGenerate(key, name, input, approx_branches),
+                             {}};
+           })
+        .trace;
+}
+
+OutcomeWords
+cachedBranchOutcomes(const std::string &name, WorkloadInput input,
+                     size_t approx_branches)
+{
+    const std::string key = cacheKey(name, input, approx_branches);
+    return lookup(key + "\x1foutcomes", [&] {
+               // The store keeps one trace format, so a miss loads or
+               // generates the whole trace and keeps a copy of its
+               // outcome words. The copy is taken even off a stored
+               // mapping, whose pc pages were read (checksummed) and
+               // would otherwise stay resident.
+               const TracePtr trace =
+                   loadOrGenerate(key, name, input, approx_branches);
+               return Cached{nullptr,
+                             copyOutcomes(trace->takenWords(), trace->size())};
+           })
+        .outcomes;
 }
 
 BranchTraceCacheStats
@@ -244,7 +308,9 @@ branchTraceCacheStats()
             std::future_status::ready) {
             // Completed builds only; in-flight entries count as zero.
             try {
-                stats.cachedBranches += entry.future.get()->size();
+                const Cached &cached = entry.future.get();
+                stats.cachedBranches += cached.branches();
+                stats.outcomeEntries += cached.trace ? 0 : 1;
             } catch (...) {
                 // A failing entry is being erased by its creator.
             }

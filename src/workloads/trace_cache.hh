@@ -1,7 +1,9 @@
 /**
  * @file
  * Process-wide memoizing cache over makeBranchTrace - the one branch-
- * trace cache.
+ * trace cache. It holds whole traces (cachedBranchTrace) and, for
+ * consumers that read only directions, outcome words alone
+ * (cachedBranchOutcomes).
  *
  * makeBranchTrace is deterministic in its (benchmark, input,
  * approx_branches) triple, yet the seed code regenerated the same
@@ -47,8 +49,10 @@ struct BranchTraceCacheStats
     uint64_t hits = 0;
     uint64_t misses = 0;
     size_t entries = 0;
-    /** Total dynamic branches held across cached traces. */
+    /** Total dynamic branches held across cached entries. */
     uint64_t cachedBranches = 0;
+    /** Completed entries that hold only outcome words (no pcs). */
+    size_t outcomeEntries = 0;
     /** Completed entries dropped by the LRU cap. */
     uint64_t evictions = 0;
     /** The current cap (entries; 0 = unlimited). */
@@ -63,6 +67,21 @@ struct BranchTraceCacheStats
 std::shared_ptr<const PackedTrace>
 cachedBranchTrace(const std::string &name, WorkloadInput input,
                   size_t approx_branches = 500000);
+
+/**
+ * The outcome words of makeBranchTrace(name, input, approx_branches),
+ * without its pc array: an entry of the same cache (same futures, LRU
+ * cap, generation, disk tier and hit/miss counts) that keeps ~1/65 of
+ * a whole trace's bytes. A miss takes the trace from the disk tier or
+ * generates it (spilling it to the store as cachedBranchTrace does),
+ * copies the outcome words and drops the rest; the copy is taken even
+ * off a stored mapping, whose checksummed pc pages would otherwise stay
+ * resident. Repeated calls return the same owner until the entry is
+ * evicted or cleared.
+ */
+OutcomeWords cachedBranchOutcomes(const std::string &name,
+                                  WorkloadInput input,
+                                  size_t approx_branches);
 
 /** Current cache tallies (process-wide, monotone hit/miss counts). */
 BranchTraceCacheStats branchTraceCacheStats();

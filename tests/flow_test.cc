@@ -22,8 +22,10 @@
 #include "flow/api.hh"
 #include "flow/batch.hh"
 #include "flow/design_flow.hh"
+#include "flow/design_memo.hh"
 #include "fsmgen/designer.hh"
 #include "fsmgen/profile.hh"
+#include "support/failpoint.hh"
 #include "support/rng.hh"
 #include "support/thread_pool.hh"
 
@@ -414,6 +416,95 @@ TEST(DesignFlowTest, SubsetBudgetsHoldAtTheirEdges)
         expectClean(runWith(0, dfa_states));
         expectDegraded(runWith(0, dfa_states - 1));
     }
+}
+
+// A budget only ever cuts work. For random models and random budgets
+// the design is either identical to the unlimited design or flagged
+// degraded, never a different machine without the flag; and a run that
+// may use the unlimited run's memo entry gets exactly what a run that
+// computes its whole tail gets.
+TEST(BudgetPropertyTest, EveryBudgetGivesTheUnlimitedDesignOrADegradedOne)
+{
+    Rng rng(0xb0d6e7);
+    const double thresholds[] = {0.5, 0.6, 0.7, 0.8, 0.9};
+    const int iteration_caps[] = {0, 1, 2, 3, 4, 5, 64, 256};
+    // A random limit: unlimited half the time, else within twice the
+    // unlimited run's usage so limits on both sides of it are drawn.
+    auto limit = [&rng](int64_t usage) -> int64_t {
+        return rng.chance(0.5)
+            ? 0
+            : 1 + static_cast<int64_t>(
+                      rng.below(static_cast<uint64_t>(2 * usage + 1)));
+    };
+    clearDesignMemo();
+    size_t same = 0, degraded = 0, capped = 0;
+    for (int m = 0; m < 48; ++m) {
+        const int order = 3 + static_cast<int>(rng.below(10));
+        std::vector<int> trace;
+        if (rng.chance(0.5)) {
+            trace = randomOutcomes(1000 + rng.below(6000), rng.next(),
+                                   0.2 + 0.6 * rng.uniform());
+        } else {
+            // A periodic branch with noise, the shape of a loop.
+            const uint64_t period = 2 + rng.below(20);
+            const uint64_t pattern = rng.next();
+            const double noise = 0.1 * rng.uniform();
+            for (size_t i = 0, n = 2000 + rng.below(6000); i < n; ++i) {
+                const int bit = static_cast<int>((pattern >> (i % period)) & 1);
+                trace.push_back(rng.chance(noise) ? 1 - bit : bit);
+            }
+        }
+        const MarkovModel model = trainMarkovModel(trace, order);
+        FsmDesignOptions unlimited;
+        unlimited.order = order;
+        unlimited.minimizer =
+            rng.chance(0.5) ? MinimizeAlgo::Auto : MinimizeAlgo::Heuristic;
+        unlimited.patterns.threshold = thresholds[rng.below(5)];
+        const FlowResult reference = DesignFlow(unlimited).run(model);
+        ASSERT_FALSE(reference.trace.degraded());
+        const FsmDesignResult &design = reference.design;
+
+        for (int b = 0; b < 6; ++b) {
+            FsmDesignOptions options = unlimited;
+            options.budget.maxMinterms = static_cast<size_t>(
+                limit(static_cast<int64_t>(design.patterns.predictOne.size() +
+                                           design.patterns.dontCare.size())));
+            options.budget.maxNfaStates =
+                static_cast<int>(limit(thompsonStateCount(design.cover)));
+            options.budget.maxDfaStates =
+                static_cast<int>(limit(design.statesSubset));
+            options.budget.maxEspressoIterations =
+                iteration_caps[rng.below(std::size(iteration_caps))];
+
+            const FlowResult memo = DesignFlow(options).run(model);
+            failpoint::registry().set("unrelated.site", "fail-times:1000000");
+            const FlowResult fresh = DesignFlow(options).run(model);
+            failpoint::registry().clearAll();
+            ASSERT_FALSE(fresh.tailFromMemo);
+
+            const std::string what = "model " + std::to_string(m) +
+                " budget " + toJson(options.budget);
+            for (const FlowResult *result : {&memo, &fresh}) {
+                EXPECT_TRUE(result->trace.degraded() ||
+                            result->design.fsm.identical(design.fsm))
+                    << what;
+            }
+            EXPECT_TRUE(memo.design.fsm.identical(fresh.design.fsm)) << what;
+            EXPECT_EQ(memo.trace.fallbacks(), fresh.trace.fallbacks())
+                << what;
+            if (fresh.trace.degraded())
+                ++degraded;
+            else
+                ++same;
+            for (const std::string &fallback : fresh.trace.fallbacks())
+                capped += fallback == "minimize:iteration-cap";
+        }
+    }
+    // The draw reaches both outcomes, and caps that cut Espresso short.
+    EXPECT_GT(same, 0u);
+    EXPECT_GT(degraded, 0u);
+    EXPECT_GT(capped, 0u);
+    clearDesignMemo();
 }
 
 TEST(DesignFlowTest, MismatchedOrderThrows)

@@ -9,8 +9,10 @@
  * drive random traces across orders and trace lengths (including traces
  * shorter than the maximum order, where only warm-up edges exist). The
  * memo tests pin the hit path's byte-identical artifacts, its
- * eligibility rules (unlimited budget, no armed failpoint) and its
- * thread-safety under a concurrent BatchDesigner (run under TSan in CI).
+ * eligibility rules (an entry answers any budget its usage fits; an
+ * armed failpoint or an Espresso cap below the default bypasses it),
+ * its LRU eviction and its thread-safety under a concurrent
+ * BatchDesigner (run under TSan in CI).
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +21,10 @@
 #include <string>
 #include <vector>
 
+#include "automata/dfa_io.hh"
+#include "automata/regex.hh"
 #include "bpred/trainer.hh"
+#include "flow/api.hh"
 #include "flow/batch.hh"
 #include "flow/design_flow.hh"
 #include "flow/design_memo.hh"
@@ -395,21 +400,148 @@ TEST_F(DesignMemoTest, ScaledCountsHitMemoWithIdenticalArtifacts)
     EXPECT_EQ(stats.entries, 1u);
 }
 
-TEST_F(DesignMemoTest, FiniteBudgetBypassesMemo)
+/**
+ * A loop-like branch (period 7, 3% noise) profiled at order 6: a tail
+ * with several cubes and DFA states, so every usage is above 1.
+ */
+MarkovModel
+loopModel()
 {
-    MarkovModel model(2);
-    model.train(paperTrace());
+    Rng rng(0x100b);
+    std::vector<int> trace;
+    for (int i = 0; i < 20000; ++i) {
+        const int bit = (0x5b >> (i % 7)) & 1;
+        trace.push_back(rng.uniform() < 0.03 ? 1 - bit : bit);
+    }
+    return trainMarkovModel(trace, 6);
+}
 
+/** The tail's budget-relevant usage, as the memo measures it. */
+struct TailUsage
+{
+    size_t minterms = 0;
+    int64_t nfaStates = 0;
+    int dfaStates = 0;
+};
+
+TailUsage
+usageOf(const FsmDesignResult &design)
+{
+    return {design.patterns.predictOne.size() +
+                design.patterns.dontCare.size(),
+            thompsonStateCount(design.cover), design.statesSubset};
+}
+
+/**
+ * A run of @p options that computes its whole tail: an armed failpoint
+ * at a site the flow never reaches bypasses the memo without touching
+ * its entries or tallies.
+ */
+FlowResult
+freshRun(const FsmDesignOptions &options, const MarkovModel &model)
+{
+    failpoint::registry().set("unrelated.site", "fail-times:1000000");
+    FlowResult result = DesignFlow(options).run(model);
+    failpoint::registry().clearAll();
+    EXPECT_FALSE(result.tailFromMemo);
+    return result;
+}
+
+// One request per class shares one entry (the first class computes it,
+// the other two hit), and each class gets exactly what a fresh run under
+// its own class budget produces.
+TEST_F(DesignMemoTest, EveryRequestClassSharesOneEntry)
+{
+    const MarkovModel model = loopModel();
+    const RequestClass classes[] = {RequestClass::Interactive,
+                                    RequestClass::Batch, RequestClass::Bulk};
+    std::vector<std::string> artifacts;
+    for (const RequestClass klass : classes) {
+        FsmDesignOptions options;
+        options.order = 6;
+        options.budget = budgetForClass(klass);
+        const FlowResult result = DesignFlow(options).run(model);
+        EXPECT_FALSE(result.trace.degraded());
+        EXPECT_EQ(result.tailFromMemo, klass != RequestClass::Interactive);
+        artifacts.push_back(dfaToText(result.design.fsm));
+    }
+    DesignMemoStats stats = designMemoStats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, 2u);
+    EXPECT_EQ(stats.entries, 1u);
+
+    for (size_t c = 0; c < std::size(classes); ++c) {
+        FsmDesignOptions options;
+        options.order = 6;
+        options.budget = budgetForClass(classes[c]);
+        EXPECT_EQ(artifacts[c],
+                  dfaToText(freshRun(options, model).design.fsm))
+            << requestClassName(classes[c]);
+    }
+}
+
+// Each limit set one below what the entry's computation used turns the
+// lookup into a miss, and the run degrades exactly as a fresh run under
+// that budget does.
+TEST_F(DesignMemoTest, LimitBelowEntryUsageMissesAndDegradesLikeAFreshRun)
+{
+    const MarkovModel model = loopModel();
+    FsmDesignOptions unlimited;
+    unlimited.order = 6;
+    const FlowResult stored = DesignFlow(unlimited).run(model);
+    ASSERT_FALSE(stored.trace.degraded());
+    const TailUsage usage = usageOf(stored.design);
+    ASSERT_GT(usage.minterms, 1u);
+    ASSERT_GT(usage.nfaStates, 1);
+    ASSERT_GT(usage.dfaStates, 1);
+
+    std::vector<FlowBudget> budgets(3);
+    budgets[0].maxMinterms = usage.minterms - 1;
+    budgets[1].maxNfaStates = static_cast<int>(usage.nfaStates - 1);
+    budgets[2].maxDfaStates = usage.dfaStates - 1;
+    for (const FlowBudget &budget : budgets) {
+        FsmDesignOptions options = unlimited;
+        options.budget = budget;
+        const DesignMemoStats before = designMemoStats();
+        const FlowResult result = DesignFlow(options).run(model);
+        const DesignMemoStats after = designMemoStats();
+        EXPECT_FALSE(result.tailFromMemo);
+        EXPECT_TRUE(result.trace.degraded()) << toJson(budget);
+        EXPECT_EQ(after.misses, before.misses + 1);
+        EXPECT_EQ(after.hits, before.hits);
+
+        const FlowResult fresh = freshRun(options, model);
+        EXPECT_EQ(result.trace.fallbacks(), fresh.trace.fallbacks());
+        EXPECT_EQ(dfaToText(result.design.fsm),
+                  dfaToText(fresh.design.fsm));
+        EXPECT_EQ(result.design.cover.size(), fresh.design.cover.size());
+    }
+
+    // At exactly the entry's usage every limit is met: a hit.
+    FsmDesignOptions options = unlimited;
+    options.budget.maxMinterms = usage.minterms;
+    options.budget.maxNfaStates = static_cast<int>(usage.nfaStates);
+    options.budget.maxDfaStates = usage.dfaStates;
+    const FlowResult hit = DesignFlow(options).run(model);
+    EXPECT_TRUE(hit.tailFromMemo);
+    EXPECT_TRUE(hit.design.fsm.identical(stored.design.fsm));
+}
+
+// An Espresso iteration cap below the default bypasses the memo; caps
+// at or above it run the default iteration count and use it.
+TEST_F(DesignMemoTest, EspressoCapBelowDefaultBypassesMemo)
+{
+    const MarkovModel model = loopModel();
     FsmDesignOptions options;
-    options.budget.maxDfaStates = 1000; // generous but finite
-    DesignFlow flow(options);
-    flow.run(model);
-    flow.run(model);
-
-    const DesignMemoStats stats = designMemoStats();
-    EXPECT_EQ(stats.hits, 0u);
-    EXPECT_EQ(stats.misses, 0u);
-    EXPECT_EQ(stats.entries, 0u);
+    options.order = 6;
+    DesignFlow(options).run(model);
+    options.budget.maxEspressoIterations = 2;
+    EXPECT_FALSE(DesignFlow(options).run(model).tailFromMemo);
+    EXPECT_EQ(designMemoStats().hits + designMemoStats().misses, 1u);
+    options.budget.maxEspressoIterations = 4;
+    EXPECT_TRUE(DesignFlow(options).run(model).tailFromMemo);
+    options.budget.maxEspressoIterations = 256;
+    EXPECT_TRUE(DesignFlow(options).run(model).tailFromMemo);
 }
 
 TEST_F(DesignMemoTest, ArmedFailpointBypassesMemo)
@@ -454,6 +586,33 @@ TEST_F(DesignMemoTest, CapacityCapDropsStores)
     EXPECT_EQ(stats.misses, 2u);
     EXPECT_EQ(stats.insertions, 0u);
     EXPECT_EQ(stats.entries, 0u);
+}
+
+// A full memo evicts its least-recently-used entry instead of refusing
+// new keys, so a hot key stays a memory hit.
+TEST_F(DesignMemoTest, FullMemoEvictsTheLeastRecentlyUsedEntry)
+{
+    designMemoSetCapacity(2);
+    auto run = [](int order) {
+        MarkovModel model(order);
+        model.train(paperTrace());
+        FsmDesignOptions options;
+        options.order = order;
+        return DesignFlow(options).run(model).tailFromMemo;
+    };
+    EXPECT_FALSE(run(2)); // A
+    EXPECT_FALSE(run(3)); // B
+    EXPECT_TRUE(run(2));  // A is now the most recent
+    EXPECT_FALSE(run(4)); // C evicts B
+    EXPECT_TRUE(run(2));  // the hot key stayed
+    EXPECT_TRUE(run(4));
+    EXPECT_FALSE(run(3)); // B was evicted; its store evicts A
+    const DesignMemoStats stats = designMemoStats();
+    EXPECT_EQ(stats.entries, 2u);
+    EXPECT_EQ(stats.insertions, 4u);
+    EXPECT_EQ(stats.evictions, 2u);
+    EXPECT_EQ(stats.hits, 3u);
+    EXPECT_EQ(stats.misses, 4u);
 }
 
 TEST_F(DesignMemoTest, ConcurrentBatchItemsShareMemo)

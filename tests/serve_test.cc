@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -505,54 +506,224 @@ TEST(DesignApiTest, DesignFlowMatchesRunDesignRequest)
               dfaToText(direct.design.fsm));
 }
 
-// The workload resolver shares the trace cache's entry as is: the model
-// trained over its outcome words equals per-outcome training on the
-// unpacked stream for every benchmark and input, at flat and sparse
-// orders, and the evaluation stream borrows the same words.
-TEST(DesignApiTest, TraceRefResolvesToTheCachedPackedTrace)
+// ---------------------------------------------------------------------
+// Trace-ref resolution: the workload resolver's outcome-only entries
+// and the per-(ref, order) model memo.
+// ---------------------------------------------------------------------
+
+/** The twelve refs of the serve-mixed request stream. */
+std::vector<std::pair<std::string, WorkloadInput>>
+serveMixedRefs()
 {
-    serve::installWorkloadTraceResolver();
+    std::vector<std::pair<std::string, WorkloadInput>> refs;
     for (const std::string &name : branchBenchmarkNames()) {
-        for (const WorkloadInput input :
-             {WorkloadInput::Train, WorkloadInput::Test}) {
-            DesignRequest request;
-            request.traceRef =
-                name + (input == WorkloadInput::Test ? ":test" : ":train");
-            request.traceBranches = 100000;
-            const auto trace =
-                traceRefResolver()(request.traceRef, request.traceBranches);
-            ASSERT_TRUE(trace != nullptr);
-            EXPECT_EQ(trace, cachedBranchTrace(name, input, 100000));
+        refs.emplace_back(name, WorkloadInput::Train);
+        refs.emplace_back(name, WorkloadInput::Test);
+    }
+    return refs;
+}
 
-            const OutcomeWords stream = resolveRequestOutcomes(request);
-            EXPECT_EQ(stream.words.data(), trace->takenWords().data());
-            EXPECT_EQ(stream.bits, trace->size());
+std::string
+refName(const std::string &name, WorkloadInput input)
+{
+    return name + (input == WorkloadInput::Test ? ":test" : ":train");
+}
 
-            std::vector<int> outcomes;
-            outcomes.reserve(trace->size());
-            for (const BranchRecord record : *trace)
-                outcomes.push_back(record.taken ? 1 : 0);
-            for (const int order : {1, 2, 10, 24}) {
-                request.options.order = order;
-                EXPECT_TRUE(markovEqual(resolveRequestModel(request),
-                                        trainMarkovModel(outcomes, order)))
-                    << request.traceRef << " order " << order;
-            }
-            if (name == "gsm" && input == WorkloadInput::Test) {
-                // The design path trains over the same words and still
-                // records its markov stage.
-                request.options.order = 9;
-                const FlowResult flow = runDesignRequest(request);
-                EXPECT_NE(flow.trace.find(FlowStage::Markov), nullptr);
-                EXPECT_EQ(dfaToText(flow.design.fsm),
-                          dfaToText(DesignFlow(request.options)
-                                        .runOnTrace(outcomes)
-                                        .design.fsm));
-            }
+#ifndef AUTOFSM_NO_TELEMETRY
+/** Multi-order profiling passes so far (autofsm_profile_runs_total). */
+uint64_t
+profileRuns()
+{
+    for (const obs::MetricValue &metric :
+         obs::globalMetrics().snapshot().metrics) {
+        if (metric.name == "autofsm_profile_runs_total")
+            return metric.count;
+    }
+    return 0;
+}
+#endif
+
+class TraceRefResolverTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        obs::globalMetrics().enable(true);
+        clearBranchTraceCache();
+        serve::installWorkloadTraceResolver();
+    }
+
+    void
+    TearDown() override
+    {
+        setTraceRefResolver(nullptr);
+        clearBranchTraceCache();
+    }
+
+    static DesignRequest
+    refRequest(const std::string &ref, int order)
+    {
+        DesignRequest request;
+        request.traceRef = ref;
+        request.traceBranches = 100000;
+        request.options.order = order;
+        return request;
+    }
+};
+
+// The resolver hands out the outcome words of the generated trace: the
+// model trained over them equals per-outcome training on the unpacked
+// stream for every benchmark and input, at flat and sparse orders, and
+// the evaluation stream borrows the same cached words.
+TEST_F(TraceRefResolverTest, ResolvesToTheTracesOutcomeWords)
+{
+    for (const auto &[name, input] : serveMixedRefs()) {
+        DesignRequest request = refRequest(refName(name, input), 1);
+        const OutcomeWords stream =
+            traceRefResolver()(request.traceRef, request.traceBranches);
+        const PackedTrace trace = makeBranchTrace(name, input, 100000);
+        ASSERT_EQ(stream.bits, trace.size()) << request.traceRef;
+        ASSERT_TRUE(std::equal(stream.words.begin(), stream.words.end(),
+                               trace.takenWords().begin(),
+                               trace.takenWords().end()));
+
+        const OutcomeWords eval = resolveRequestOutcomes(request);
+        EXPECT_EQ(eval.words.data(), stream.words.data());
+        EXPECT_EQ(eval.owner, stream.owner);
+
+        std::vector<int> outcomes;
+        outcomes.reserve(trace.size());
+        for (const BranchRecord record : trace)
+            outcomes.push_back(record.taken ? 1 : 0);
+        for (const int order : {1, 2, 10, 24}) {
+            request.options.order = order;
+            EXPECT_TRUE(markovEqual(*resolveRequestModel(request),
+                                    trainMarkovModel(outcomes, order)))
+                << request.traceRef << " order " << order;
+        }
+        if (name == "gsm" && input == WorkloadInput::Test) {
+            // The design path trains over the same words and still
+            // records its markov stage.
+            request.options.order = 9;
+            const FlowResult flow = runDesignRequest(request);
+            EXPECT_NE(flow.trace.find(FlowStage::Markov), nullptr);
+            EXPECT_EQ(dfaToText(flow.design.fsm),
+                      dfaToText(DesignFlow(request.options)
+                                    .runOnTrace(outcomes)
+                                    .design.fsm));
         }
     }
-    setTraceRefResolver(nullptr);
+}
+
+// All twelve serve-mixed refs cached through the resolver hold no pc
+// array, and each (ref, order) is profiled once however often it is
+// asked for.
+TEST_F(TraceRefResolverTest, ServeMixedRefsCacheOnlyOutcomesAndProfileOncePerOrder)
+{
+#ifndef AUTOFSM_NO_TELEMETRY
+    const uint64_t runs_before = profileRuns();
+#endif
+    const auto refs = serveMixedRefs();
+    for (const auto &[name, input] : refs) {
+        const std::string ref = refName(name, input);
+        for (const int order : {4, 9}) {
+            const auto first = resolveRequestModel(refRequest(ref, order));
+            const auto again = resolveRequestModel(refRequest(ref, order));
+            EXPECT_EQ(first, again) << ref << " order " << order;
+            EXPECT_EQ(first->order(), order);
+        }
+    }
+    const BranchTraceCacheStats stats = branchTraceCacheStats();
+    EXPECT_EQ(stats.entries, refs.size());
+    EXPECT_EQ(stats.outcomeEntries, refs.size()); // no pc-bearing trace
+    EXPECT_EQ(stats.misses, refs.size());
+    EXPECT_EQ(stats.hits, 3 * refs.size()); // 4 resolves per ref
+    EXPECT_GT(stats.cachedBranches, 12u * 100000 * 9 / 10);
+#ifndef AUTOFSM_NO_TELEMETRY
+    EXPECT_EQ(profileRuns() - runs_before, 2 * refs.size());
+#endif
+}
+
+// Clearing the trace cache makes the next request resolve and profile
+// afresh (a cold reference pass relies on this), with the same content.
+TEST_F(TraceRefResolverTest, ClearedCacheReresolvesAndReprofiles)
+{
+    const DesignRequest request = refRequest("gsm:train", 6);
+    const auto before = resolveRequestModel(request);
+    EXPECT_EQ(resolveRequestModel(request), before);
+
     clearBranchTraceCache();
+#ifndef AUTOFSM_NO_TELEMETRY
+    const uint64_t runs_before = profileRuns();
+#endif
+    const auto after = resolveRequestModel(request);
+    EXPECT_NE(after, before);
+    EXPECT_TRUE(markovEqual(*after, *before));
+    EXPECT_EQ(branchTraceCacheStats().misses, 1u);
+#ifndef AUTOFSM_NO_TELEMETRY
+    EXPECT_EQ(profileRuns() - runs_before, 1u);
+#endif
+    EXPECT_EQ(resolveRequestModel(request), after);
+}
+
+/** A resolver that copies the stream into a new owner on every call. */
+OutcomeWords
+resolveFreshCopy(const std::string &ref, uint64_t approxBranches)
+{
+    const OutcomeWords cached = cachedBranchOutcomes(
+        ref.substr(0, ref.find(':')), WorkloadInput::Train,
+        static_cast<size_t>(approxBranches));
+    auto copy = std::make_shared<const std::vector<uint64_t>>(
+        cached.words.begin(), cached.words.end());
+    return {*copy, cached.bits, copy};
+}
+
+// An entry is valid only for the owner it was profiled from: another
+// resolver's streams are profiled anew.
+TEST_F(TraceRefResolverTest, AnotherOwnerForcesAReprofile)
+{
+    const DesignRequest request = refRequest("compress:train", 5);
+    const auto workload = resolveRequestModel(request);
+    setTraceRefResolver(&resolveFreshCopy);
+    const auto first = resolveRequestModel(request);
+    const auto second = resolveRequestModel(request);
+    EXPECT_NE(first, workload);
+    EXPECT_NE(second, first);
+    EXPECT_TRUE(markovEqual(*first, *workload));
+    EXPECT_TRUE(markovEqual(*second, *workload));
+}
+
+// Concurrent first requests for one ref build its entry once; the rest
+// wait on the same build and share its owner.
+TEST_F(TraceRefResolverTest, ConcurrentFirstRequestsBuildOnce)
+{
+    constexpr size_t kThreads = 8;
+    std::vector<std::shared_ptr<const MarkovModel>> models(kThreads);
+    std::vector<OutcomeWords> streams(kThreads);
+    std::atomic<size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ++ready;
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            const DesignRequest request =
+                refRequest("ijpeg:test", 3 + static_cast<int>(t % 2));
+            streams[t] = resolveRequestOutcomes(request);
+            models[t] = resolveRequestModel(request);
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    const BranchTraceCacheStats stats = branchTraceCacheStats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, 2 * kThreads - 1);
+    EXPECT_EQ(stats.entries, 1u);
+    for (size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(streams[t].owner, streams[0].owner);
+        EXPECT_TRUE(markovEqual(*models[t], *models[t % 2]));
+    }
 }
 
 TEST(DesignApiTest, RequestsEngineMixedSourcesDedupAndIsolation)
@@ -1153,7 +1324,7 @@ heldTraceRef()
     return held;
 }
 
-std::shared_ptr<const PackedTrace>
+OutcomeWords
 resolveHeldTraceRef(const std::string &, uint64_t approxBranches)
 {
     HeldTraceRef &held = heldTraceRef();
@@ -1164,8 +1335,8 @@ resolveHeldTraceRef(const std::string &, uint64_t approxBranches)
         held.timedOut = !held.changed.wait_for(
             lock, std::chrono::seconds(20), [&] { return held.released; });
     }
-    return cachedBranchTrace("compress", WorkloadInput::Train,
-                             approxBranches);
+    return cachedBranchOutcomes("compress", WorkloadInput::Train,
+                                approxBranches);
 }
 
 TEST_F(ServerTest, LightRequestIsAnsweredWhileAnotherBatchIsInFlight)

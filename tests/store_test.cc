@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -498,6 +500,42 @@ TEST_F(StoreTest, DiskTierTraceIsAZeroCopyViewOfTheStoreFile)
     EXPECT_TRUE(std::equal(loaded->takenWords().begin(),
                            loaded->takenWords().end(),
                            generated.takenWords().begin()));
+}
+
+// Outcome-only entries share the whole-trace disk tier: a miss spills
+// the whole trace (one store format), and after a restart the words are
+// taken from the stored container but copied out of its mapping, so no
+// pc page stays mapped.
+TEST_F(StoreTest, OutcomeEntriesSpillWholeTracesAndCopyOutOfTheStore)
+{
+    store::setGlobalStore(
+        std::make_shared<store::ArtifactStore>(options()));
+    clearBranchTraceCache();
+    const OutcomeWords built =
+        cachedBranchOutcomes("gsm", WorkloadInput::Test, 3000);
+    const std::string entry = onlyEntry("traces");
+    ASSERT_FALSE(entry.empty());
+    const std::string stored = fs::canonical(entry).string();
+
+    clearBranchTraceCache();
+    const uint64_t diskHitsBefore = store::globalStore()->stats().hits;
+    const OutcomeWords loaded =
+        cachedBranchOutcomes("gsm", WorkloadInput::Test, 3000);
+    EXPECT_GT(store::globalStore()->stats().hits, diskHitsBefore);
+    EXPECT_NE(mappedFileOf(loaded.words.data()), stored);
+    std::ifstream maps("/proc/self/maps");
+    const std::string mapped((std::istreambuf_iterator<char>(maps)),
+                             std::istreambuf_iterator<char>());
+    EXPECT_EQ(mapped.find(stored), std::string::npos)
+        << "the stored trace is still mapped";
+    const PackedTrace generated =
+        makeBranchTrace("gsm", WorkloadInput::Test, 3000);
+    ASSERT_EQ(loaded.bits, generated.size());
+    ASSERT_EQ(built.bits, generated.size());
+    EXPECT_TRUE(std::equal(loaded.words.begin(), loaded.words.end(),
+                           generated.takenWords().begin(),
+                           generated.takenWords().end()));
+    EXPECT_EQ(branchTraceCacheStats().outcomeEntries, 1u);
 }
 
 TEST_F(StoreTest, CacheTiersSurviveACorruptStoreEntry)
